@@ -54,14 +54,22 @@ class Workload:
 
 WORKLOADS = {w.name: w for w in (
     # Criterion-7 drift settings under DI: |A_t| = t, so the per-expert
-    # adaptation and meta-gradient loops dominate and `report` is a small share.
+    # adaptation and meta-gradient loops dominate and `report` is the smaller
+    # share. Batch, support and query are eight times criterion 7's (400, 20,
+    # 200): at 400 rows the loops are bound by interpreter dispatch, whose
+    # speed on a shared host swung `run` by 14-15% (coefficient of variation)
+    # from one run to the next; at 3,200 rows and T = 36, in the same time,
+    # by 7-10%.
     Workload(name="di-drift",
-             scheme="di", envs=3, tasks_per_env=24, batch_size=400,
-             support_per_class=20, query_size=200, reps=1,
+             scheme="di", envs=3, tasks_per_env=12, batch_size=3200,
+             support_per_class=160, query_size=1600, reps=1,
              fairness=(("deo", 0.13),), eta1=0.2, eta2=0.3, s_radius=0.5),
     # The README demo config with 4 repetitions: |A_t| is about 2, engine time
     # goes to split_batch, wall time to trace reading and the windowed solver;
-    # the only workload that uses the repetition thread pool.
+    # the only workload that uses the repetition thread pool. Not in
+    # BENCHMARK.json: its 14 s cycles leave too few per run within the time
+    # that a full comparison of three workloads allows; kept runnable for the
+    # README's repetition-pool reference figure.
     Workload(name="dgc-demo",
              scheme="dgc", envs=3, tasks_per_env=32, batch_size=400,
              support_per_class=20, query_size=200, reps=4,
