@@ -2,25 +2,20 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
-import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
                      RoundRecord, RunConfig, SplitSizes, run)
 from .errors import ConfigurationError, IngestionError, NumericalFailureError
-from .intervals import AGC, IntervalScheme
+from .intervals import IntervalScheme
 from .metrics import (cumulative_violation, eighty_percent_check,
                       fair_sar_estimate, static_regret)
 from .model_core import FairnessSpec, LossSpec, TaskBatch
@@ -142,23 +137,24 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Library defaults come from the dataclasses; only reps, metrics and out are CLI-only.
 DEFAULTS = {
-    "base": 2,
+    "base": IntervalScheme.base,
     "horizon": None,
-    "mode": MODE_FAIRSAOML,
-    "n_meta": 20,
-    "inner_steps": 1,
-    "delta": 50.0,
-    "eta1": 0.01,
-    "eta2": 0.01,
-    "first_order": True,
-    "s_radius": None,
-    "loss": {"kind": "logistic", "l2": 1e-3},
-    "fairness": [{"kind": "ddp", "epsilon": 0.05}],
-    "split": {"support_per_class": 20, "query_size": 40},
-    "seed": 0,
+    "mode": RunConfig.mode,
+    "n_meta": RunConfig.n_meta,
+    "inner_steps": LagrangianConfig.inner_steps,
+    "delta": LagrangianConfig.delta,
+    "eta1": LagrangianConfig.eta1,
+    "eta2": LagrangianConfig.eta2,
+    "first_order": LagrangianConfig.first_order,
+    "s_radius": RunConfig.s_radius,
+    "loss": {"kind": LossSpec.kind, "l2": LossSpec.l2_coefficient},
+    "fairness": [asdict(FairnessSpec())],
+    "split": asdict(SplitSizes()),
+    "seed": RunConfig.seed,
     "reps": 10,
-    "ablation": {"disable_weights": False, "disable_base_learner": False},
+    "ablation": asdict(AblationFlags()),
     "metrics": {"tau": [16], "tail_fraction": 0.25},
     "out": "out",
 }
@@ -167,11 +163,10 @@ DEFAULTS = {
 def load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigurationError(f"invalid config: {exc.message}") from exc
+    try:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigurationError(f"invalid config: {exc.message}") from exc
     cfg = dict(DEFAULTS)
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
@@ -188,7 +183,8 @@ def load_config(path: str) -> dict:
         stream.setdefault("seed", cfg["seed"])
         envs = []
         for env in stream["environments"]:
-            e = {"group_bias": 0.0, "group_balance": 0.5, "noise": 0.0}
+            e = {"group_bias": EnvSpec.group_bias, "group_balance": EnvSpec.group_balance,
+                 "noise": EnvSpec.noise}
             e.update(env)
             envs.append(e)
         stream["environments"] = envs
@@ -293,14 +289,14 @@ def write_trace(records: List[RoundRecord], path: Path) -> None:
 
 
 def read_trace(path: Path):
-    data = np.load(path)
-    offsets = data["offsets"]
-    batches = []
-    for i, t in enumerate(data["rounds"]):
-        sl = slice(offsets[i], offsets[i + 1])
-        batches.append(TaskBatch(data["val_features"][sl], data["val_labels"][sl],
-                                 data["val_protected"][sl], round=int(t)))
-    return list(data["theta_prev"]), batches, data["g_prev"].tolist()
+    # each NpzFile lookup decompresses the whole array, so read each one once
+    with np.load(path) as data:
+        x, y, s = data["val_features"], data["val_labels"], data["val_protected"]
+        offsets, rounds = data["offsets"], data["rounds"]
+        thetas, g_prev = list(data["theta_prev"]), data["g_prev"].tolist()
+    batches = [TaskBatch(x[a:b], y[a:b], s[a:b], round=int(t))
+               for a, b, t in zip(offsets[:-1], offsets[1:], rounds)]
+    return thetas, batches, g_prev
 
 
 def _read_rounds_csv(path: Path) -> List[dict]:
@@ -310,9 +306,8 @@ def _read_rounds_csv(path: Path) -> List[dict]:
 
 def compute_report(rep_dir: Path, cfg: dict) -> dict:
     thetas, batches, g_prev = read_trace(rep_dir / "trace.npz")
-    loss_spec = LossSpec(kind=cfg["loss"]["kind"], l2_coefficient=cfg["loss"]["l2"])
-    dummy = build_run_config(cfg, cfg["seed"])
-    ball = Ball(dummy.radius())
+    run_cfg = build_run_config(cfg, cfg["seed"])
+    loss_spec, ball = run_cfg.loss, Ball(run_cfg.radius())
     regret, sol = static_regret(thetas, batches, loss_spec, ball)
     report = {
         "static_regret": regret,
@@ -360,34 +355,26 @@ def aggregate_metrics_csv(rep_dirs: List[Path], out_path: Path) -> None:
             writer.writerow(row)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("FAIRSAOML_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:
+    """metrics.csv and regret.json from each repetition's rounds.csv and trace.npz."""
+    rep_dirs = [out_dir / f"rep{seed}" for seed in seeds]
+    aggregate_metrics_csv(rep_dirs, out_dir / "metrics.csv")
+    regret = {str(seed): compute_report(d, cfg) for seed, d in zip(seeds, rep_dirs)}
+    with open(out_dir / "regret.json", "w", encoding="utf-8") as fh:
+        json.dump(regret, fh, indent=2)
 
 
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     batches = build_batches(cfg)
     seeds = [cfg["seed"] + i for i in range(cfg["reps"])]
-
-    def one(seed: int) -> Path:
+    for seed in seeds:
         rep_dir = out_dir / f"rep{seed}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         records = run(build_run_config(cfg, seed), batches)
-        m = len(cfg["fairness"])
-        write_rounds_csv(records, rep_dir / "rounds.csv", m)
+        write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
         write_trace(records, rep_dir / "trace.npz")
-        return rep_dir
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rep_dirs = list(pool.map(one, seeds))
-
-    aggregate_metrics_csv(rep_dirs, out_dir / "metrics.csv")
-    regret = {str(seed): compute_report(d, cfg) for seed, d in zip(seeds, rep_dirs)}
-    with open(out_dir / "regret.json", "w", encoding="utf-8") as fh:
-        json.dump(regret, fh, indent=2)
+    write_report(out_dir, cfg, seeds)
     with open(out_dir / "config-echo.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2)
     manifest = {
@@ -481,14 +468,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         cfg = json.load(fh)
     with open(art / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    rep_dirs = [art / f"rep{s}" for s in manifest["seeds"]]
-    for d in rep_dirs:
+    for s in manifest["seeds"]:
+        d = art / f"rep{s}"
         if not (d / "rounds.csv").exists() or not (d / "trace.npz").exists():
             raise ConfigurationError(f"missing artifact files under {d}")
-    aggregate_metrics_csv(rep_dirs, art / "metrics.csv")
-    regret = {str(s): compute_report(d, cfg) for s, d in zip(manifest["seeds"], rep_dirs)}
-    with open(art / "regret.json", "w", encoding="utf-8") as fh:
-        json.dump(regret, fh, indent=2)
+    write_report(art, cfg, manifest["seeds"])
     print(f"report regenerated under {art}")
     return EXIT_OK
 
@@ -527,7 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigurationError, IngestionError, OSError, json.JSONDecodeError,

@@ -11,7 +11,7 @@ from . import hedge
 from .errors import ConfigurationError, NumericalFailureError
 from .experts import (ExpertPool, ExpertState, GradientBoundConsts, stepsize,
                       update_g_bound)
-from .intervals import AGC, Interval, IntervalScheme, expected_census, target_set
+from .intervals import AGC, Interval, IntervalScheme, target_set
 from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, scores,
                          split_batch)
 from .metrics import demographic_parity, equalized_odds
@@ -46,7 +46,6 @@ class RunConfig:
     ablation: AblationFlags = field(default_factory=AblationFlags)
     mode: str = MODE_FAIRSAOML
     s_radius: Optional[float] = None  # default sqrt(1 + 2*epsilon) - 1
-    containment_activity: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_FAIRSAOML, MODE_SINGLE_EXPERT):
@@ -128,8 +127,7 @@ class Engine:
         if config.mode == MODE_SINGLE_EXPERT:
             self.pool = ExpertPool(scheme=None, bounds=self.bounds)
         else:
-            self.pool = ExpertPool(scheme=config.scheme, bounds=self.bounds,
-                                   containment_activity=config.containment_activity)
+            self.pool = ExpertPool(scheme=config.scheme, bounds=self.bounds)
 
     def _activate(self, t: int):
         cfg = self.config
@@ -138,10 +136,8 @@ class Engine:
                 iv = Interval(1, self.total_rounds)
                 self.pool.experts[iv.length] = ExpertState(
                     interval=iv, params=self.meta.copy(),
-                    eta=stepsize(iv, self.bounds), last_active=t, active=True)
-            exp = next(iter(self.pool.experts.values()))
-            exp.active = True
-            exp.last_active = t
+                    eta=stepsize(iv, self.bounds), active=True)
+            next(iter(self.pool.experts.values())).active = True
         else:
             self.pool.bounds = self.bounds
             self.pool.activate(t, target_set(cfg.scheme, t), self.meta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .errors import InternalConsistencyError
-from .intervals import AGC, DGC, DI, Interval, IntervalScheme, TargetSet
+from .intervals import AGC, DI, Interval, IntervalScheme, TargetSet
 from .model_core import ParamPair, TaskBatch
 
 
@@ -45,7 +45,6 @@ class ExpertState:
     eta: float
     r_stat: float = 0.0
     c_stat: float = 0.0
-    last_active: int = 0
     active: bool = False
 
 
@@ -80,7 +79,6 @@ class ExpertPool:
                 eta=self.bounds.s_radius / (self.bounds.g_bound * math.sqrt(length)),
                 r_stat=r,
                 c_stat=c,
-                last_active=t,
                 active=True,
             )
             report.append((iv, pred is not None))

@@ -1,13 +1,13 @@
 """Fairness metrics, regret estimates, and the offline comparator solver."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model_core import LossSpec, TaskBatch, loss, loss_grad
+from .model_core import LossSpec, TaskBatch, loss
 from .optimizer import Ball, project_ball
 
 DEFAULT_SOLVER_TOL = 1e-8

@@ -5,7 +5,7 @@ immutable once constructed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ParamPair:
             raise ConfigurationError("dual vector must be entrywise nonnegative")
 
     def copy(self) -> "ParamPair":
-        return ParamPair(self.theta.copy(), self.lam.copy())
+        return ParamPair(self.theta, self.lam)  # __post_init__ copies
 
 
 @dataclass(frozen=True)

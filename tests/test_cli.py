@@ -1,9 +1,10 @@
 import csv
 import json
 
-import pytest
+import numpy as np
 
 from fairsaoml import cli
+from fairsaoml.engine import run
 
 
 def write_config(tmp_path, **overrides):
@@ -119,18 +120,39 @@ class TestGenData:
 
 class TestReport:
     def test_regenerates_equal_reports(self, tmp_path):
-        path, cfg = write_config(tmp_path, reps=1)
-        cli.main(["run", "--config", str(path)])
+        path, cfg = write_config(tmp_path, reps=2,
+                                 fairness=[{"kind": "ddp", "epsilon": 0.05},
+                                           {"kind": "deo", "epsilon": 0.1}])
+        assert cli.main(["run", "--config", str(path)]) == 0
         out = tmp_path / "out"
-        before = json.loads((out / "regret.json").read_text())
-        (out / "regret.json").unlink()
-        (out / "metrics.csv").unlink()
+        before = {name: (out / name).read_bytes() for name in ("regret.json", "metrics.csv")}
+        assert set(json.loads(before["regret.json"])) == {"2", "3"}
+        for name in before:
+            (out / name).unlink()
         assert cli.main(["report", "--artifacts", str(out)]) == 0
-        after = json.loads((out / "regret.json").read_text())
-        assert before == after
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--artifacts", str(tmp_path / "nope")]) == 2
+
+
+class TestTrace:
+    def test_round_trip_is_exact(self, tmp_path):
+        path, _ = write_config(tmp_path, fairness=[{"kind": "ddp", "epsilon": 0.05},
+                                                   {"kind": "deo", "epsilon": 0.1}])
+        cfg = cli.load_config(str(path))
+        records = run(cli.build_run_config(cfg, cfg["seed"]), cli.build_batches(cfg))
+        assert len(records) >= 4
+        cli.write_trace(records, tmp_path / "trace.npz")
+        thetas, batches, g_prev = cli.read_trace(tmp_path / "trace.npz")
+        assert len(thetas) == len(batches) == len(g_prev) == len(records)
+        for r, theta, batch, g in zip(records, thetas, batches, g_prev):
+            assert np.array_equal(theta, r.theta_prev)
+            assert g == r.g_prev
+            assert np.array_equal(batch.features, r.validation.features)
+            assert np.array_equal(batch.labels, r.validation.labels)
+            assert np.array_equal(batch.protected, r.validation.protected)
+            assert batch.round == r.validation.round == r.t
 
 
 class TestSweep:
@@ -164,6 +186,13 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["run", "--config", str(path)]) == 2
+
+    def test_arithmetic_error_is_numerical_failure(self, tmp_path, monkeypatch):
+        def overflow(stats):
+            raise OverflowError("math range error")
+        monkeypatch.setattr("fairsaoml.hedge.normalize", overflow)
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path)]) == 3
 
     def test_missing_data_sections(self, tmp_path):
         path = tmp_path / "c.json"
