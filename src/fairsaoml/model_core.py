@@ -42,6 +42,9 @@ class TaskBatch:
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "protected", s)
+        # fairness weights depend only on labels and protected values, so a
+        # batch computes them once per fairness kind (see _fairness_terms)
+        object.__setattr__(self, "_fairness_cache", {})
 
     @property
     def size(self) -> int:
@@ -162,18 +165,26 @@ def estimate_p1(batch: TaskBatch, kind: str) -> float:
     return p1
 
 
-def _fairness_weights(batch: TaskBatch, spec: FairnessSpec) -> np.ndarray:
-    """Per-sample weights; zero outside the y=+1 subset for DEO."""
-    p1 = estimate_p1(batch, spec.kind)
-    w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
-    if spec.kind == DEO:
-        w = np.where(batch.labels == 1, w, 0.0)
-    return w
+def _fairness_terms(batch: TaskBatch, kind: str):
+    """Per-sample weights (zero outside the y=+1 subset for DEO) and their
+    weighted mean feature vector, computed once per batch and kind."""
+    cached = batch._fairness_cache.get(kind)
+    if cached is None:
+        p1 = estimate_p1(batch, kind)
+        w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
+        if kind == DEO:
+            w = np.where(batch.labels == 1, w, 0.0)
+        weighted_mean_feature = (w @ batch.features) / batch.size
+        w.flags.writeable = False
+        weighted_mean_feature.flags.writeable = False
+        cached = batch._fairness_cache[kind] = (w, weighted_mean_feature)
+    return cached
 
 
 def fairness_inner_mean(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> float:
-    w = _fairness_weights(batch, spec)
-    return float(np.mean(w * scores(theta, batch)))
+    w, _ = _fairness_terms(batch, spec.kind)
+    # the sum and division np.mean does, without its per-call overhead
+    return float((w * scores(theta, batch)).sum()) / batch.size
 
 
 def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> float:
@@ -183,10 +194,8 @@ def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> f
 
 def fairness_grad(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> np.ndarray:
     """Subgradient of the surrogate, with sign(0) := 0 at the kink."""
-    w = _fairness_weights(batch, spec)
-    weighted_mean_feature = (w @ batch.features) / batch.size
-    inner = float(np.mean(w * scores(theta, batch)))
-    return np.sign(inner) * weighted_mean_feature
+    _, weighted_mean_feature = _fairness_terms(batch, spec.kind)
+    return np.sign(fairness_inner_mean(theta, batch, spec)) * weighted_mean_feature
 
 
 def split_batch(batch: TaskBatch, support_per_class: int, query_size: int,

@@ -58,9 +58,14 @@ def interval_lagrangian(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
 
 def interval_lagrangian_theta_grad(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
                                    fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
-    grad = loss_grad(pair.theta, batch, loss_spec)
-    for lam_i, fs in zip(pair.lam, fairness_specs):
-        grad = grad + lam_i * fairness_grad(pair.theta, batch, fs)
+    return _theta_grad(pair.theta, pair.lam, batch, loss_spec, fairness_specs)
+
+
+def _theta_grad(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch, loss_spec: LossSpec,
+                fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
+    grad = loss_grad(theta, batch, loss_spec)
+    for lam_i, fs in zip(lam, fairness_specs):
+        grad = grad + lam_i * fairness_grad(theta, batch, fs)
     return grad
 
 
@@ -74,9 +79,7 @@ def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
     theta = meta.theta.copy()
     lam = meta.lam.copy()
     for _ in range(steps):
-        pair = ParamPair(theta, lam)
-        theta = theta - eta * interval_lagrangian_theta_grad(pair, support, loss_spec,
-                                                             fairness_specs)
+        theta = theta - eta * _theta_grad(theta, lam, support, loss_spec, fairness_specs)
         lam = np.maximum(lam + eta * constraint_values(theta, support, fairness_specs), 0.0)
         if not (np.isfinite(theta).all() and np.isfinite(lam).all()):
             raise NumericalFailureError("non-finite iterate in inner adaptation")

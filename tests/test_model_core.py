@@ -173,6 +173,26 @@ class TestFairnessSurrogate:
         th = np.random.default_rng(seed).standard_normal(b.dim)
         assert fairness_value(th, b, spec) >= -spec.epsilon
 
+    def test_weights_kept_per_kind_and_batch(self):
+        # weights are computed once per batch and kind; a second kind on the
+        # same batch, or a subset batch, must not reuse them
+        b = random_batch(seed=5)
+        th = RNG.standard_normal(b.dim)
+        ddp, deo = FairnessSpec("ddp", 0.0), FairnessSpec("deo", 0.0)
+        first = fairness_inner_mean(th, b, ddp)
+        assert fairness_inner_mean(th, b, deo) != first
+        assert fairness_inner_mean(th, b, ddp) == first
+        sub = b.subset(np.arange(10))
+        fresh = TaskBatch(sub.features, sub.labels, sub.protected)
+        assert fairness_inner_mean(th, sub, ddp) == fairness_inner_mean(th, fresh, ddp)
+        assert np.array_equal(fairness_grad(th, sub, deo), fairness_grad(th, fresh, deo))
+
+    def test_degenerate_batch_raises_on_every_call(self):
+        b = TaskBatch(np.ones((3, 1)), [1, -1, 1], [1, 1, 1])
+        for _ in range(2):
+            with pytest.raises(DegenerateGroupError):
+                fairness_value(np.ones(1), b, FairnessSpec("ddp"))
+
 
 class TestSplit:
     def make(self, n=140, seed=5):
