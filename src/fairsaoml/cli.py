@@ -15,7 +15,7 @@ import numpy as np
 from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
                      RoundRecord, RunConfig, SplitSizes, run)
 from .errors import ConfigurationError, IngestionError, NumericalFailureError
-from .intervals import IntervalScheme
+from .intervals import AGC, IntervalScheme
 from .metrics import (cumulative_violation, eighty_percent_check,
                       fair_sar_estimate, static_regret)
 from .model_core import FairnessSpec, LossSpec, TaskBatch
@@ -35,7 +35,6 @@ CONFIG_SCHEMA = {
     "properties": {
         "scheme": {"enum": ["di", "agc", "dgc"]},
         "base": {"type": "integer", "minimum": 2},
-        "horizon": {"type": ["integer", "null"], "minimum": 1},
         "mode": {"enum": [MODE_FAIRSAOML, MODE_SINGLE_EXPERT]},
         "n_meta": {"type": "integer", "minimum": 1},
         "inner_steps": {"type": "integer", "minimum": 1},
@@ -140,7 +139,6 @@ CONFIG_SCHEMA = {
 # Library defaults come from the dataclasses; only reps, metrics and out are CLI-only.
 DEFAULTS = {
     "base": IntervalScheme.base,
-    "horizon": None,
     "mode": RunConfig.mode,
     "n_meta": RunConfig.n_meta,
     "inner_steps": LagrangianConfig.inner_steps,
@@ -160,9 +158,12 @@ DEFAULTS = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: Optional[dict] = None) -> dict:
+    """The file's config with `overrides` (flag values) merged in, validated, defaults filled."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if isinstance(raw, dict) and overrides:
+        raw.update(overrides)
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -177,6 +178,7 @@ def load_config(path: str) -> dict:
             cfg[key] = value
     if "stream" not in cfg and "csv" not in cfg:
         raise ConfigurationError("config must provide either 'stream' or 'csv'")
+    cfg["fairness"] = [{**asdict(FairnessSpec()), **f} for f in cfg["fairness"]]
     if "stream" in cfg:
         stream = dict(cfg["stream"])
         stream.setdefault("batch_size", 200)
@@ -208,25 +210,15 @@ def build_stream_spec(cfg: dict) -> StreamSpec:
 
 def build_batches(cfg: dict) -> List[TaskBatch]:
     if "csv" in cfg:
-        c = cfg["csv"]
-        schema = CsvSchema(
-            feature_columns=tuple(c["feature_columns"]),
-            protected_column=c.get("protected_column", "s"),
-            label_column=c.get("label_column", "y"),
-            round_column=c.get("round_column", "t"),
-            batch_size=c.get("batch_size"),
-            mapping=c.get("mapping"),
-        )
-        return load_csv(c["path"], schema)
+        c = dict(cfg["csv"])
+        path, features = c.pop("path"), tuple(c.pop("feature_columns"))
+        return load_csv(path, CsvSchema(feature_columns=features, **c))
     return generate_stream(build_stream_spec(cfg))
 
 
-def build_run_config(cfg: dict, seed: int) -> RunConfig:
-    horizon = cfg["horizon"]
-    if cfg["scheme"] == "agc" and horizon is None and "stream" in cfg:
-        horizon = sum(e["n_tasks"] for e in cfg["stream"]["environments"])
-    scheme = IntervalScheme(cfg["scheme"],
-                            horizon=horizon if cfg["scheme"] == "agc" else None,
+def build_run_config(cfg: dict, seed: int, rounds: int) -> RunConfig:
+    """One repetition's RunConfig over `rounds` batches, which are AGC's horizon."""
+    scheme = IntervalScheme(cfg["scheme"], horizon=rounds if cfg["scheme"] == AGC else None,
                             base=cfg["base"])
     return RunConfig(
         scheme=scheme,
@@ -306,7 +298,7 @@ def _read_rounds_csv(path: Path) -> List[dict]:
 
 def compute_report(rep_dir: Path, cfg: dict) -> dict:
     thetas, batches, g_prev = read_trace(rep_dir / "trace.npz")
-    run_cfg = build_run_config(cfg, cfg["seed"])
+    run_cfg = build_run_config(cfg, cfg["seed"], len(batches))
     loss_spec, ball = run_cfg.loss, Ball(run_cfg.radius())
     regret, sol = static_regret(thetas, batches, loss_spec, ball)
     report = {
@@ -371,7 +363,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     for seed in seeds:
         rep_dir = out_dir / f"rep{seed}"
         rep_dir.mkdir(parents=True, exist_ok=True)
-        records = run(build_run_config(cfg, seed), batches)
+        records = run(build_run_config(cfg, seed, len(batches)), batches)
         write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
         write_trace(records, rep_dir / "trace.npz")
     write_report(out_dir, cfg, seeds)
@@ -390,30 +382,25 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     return manifest
 
 
-def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = dict(cfg)
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
-    if getattr(args, "scheme", None):
-        cfg["scheme"] = args.scheme
-    if getattr(args, "base", None):
-        cfg["base"] = args.base
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "reps", None):
-        cfg["reps"] = args.reps
-    if getattr(args, "mode", None):
-        cfg["mode"] = ("single_expert" if args.mode == "single-expert" else args.mode)
-    if getattr(args, "ablation", None):
-        cfg["ablation"] = {
-            "disable_weights": args.ablation in ("weights", "both"),
-            "disable_base_learner": args.ablation in ("base-learner", "both"),
+# parsed arguments that are not config values: the subcommand and its inputs
+NOT_CONFIG = ("command", "config", "artifacts", "bases")
+
+
+def overrides(args: argparse.Namespace) -> dict:
+    """The config values that the given flags state, under their config keys."""
+    flags = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG and v is not None}
+    if "mode" in flags:
+        flags["mode"] = flags["mode"].replace("-", "_")
+    if "ablation" in flags:
+        flags["ablation"] = {
+            "disable_weights": flags["ablation"] in ("weights", "both"),
+            "disable_base_learner": flags["ablation"] in ("base-learner", "both"),
         }
-    return cfg
+    return flags
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, overrides(args))
     if "stream" not in cfg:
         raise ConfigurationError("gen-data requires a 'stream' section")
     spec = build_stream_spec(cfg)
@@ -427,7 +414,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, overrides(args))
     manifest = execute_run(cfg, Path(cfg["out"]))
     print(f"completed {len(manifest['seeds'])} repetition(s) of {manifest['rounds']} rounds"
           f" -> {cfg['out']}")
@@ -435,7 +422,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_base(args: argparse.Namespace) -> int:
-    cfg = apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, overrides(args))
     bases = [int(b) for b in args.bases.split(",")]
     if any(b < 2 for b in bases):
         raise ConfigurationError("bases must be integers >= 2")
@@ -481,20 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairsaoml")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name):
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
+        p.add_argument("--seed", type=int)
+        return p
+
+    command("gen-data")
+    run_parser, sweep = command("run"), command("sweep-base")
+    for p in (run_parser, sweep):
         p.add_argument("--scheme", choices=["di", "agc", "dgc"])
         p.add_argument("--base", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--reps", type=int)
         p.add_argument("--ablation", choices=["weights", "base-learner", "both"])
         p.add_argument("--mode", choices=["fairsaoml", "single-expert"])
-
-    common(sub.add_parser("gen-data"))
-    common(sub.add_parser("run"))
-    sweep = sub.add_parser("sweep-base")
-    common(sweep)
     sweep.add_argument("--bases", default="2,3,4,5")
     report = sub.add_parser("report")
     report.add_argument("--artifacts", required=True)

@@ -124,23 +124,19 @@ class Engine:
         rng = np.random.default_rng(config.seed)
         lam0 = rng.uniform(0.0, 0.01, size=len(config.fairness))
         self.meta = ParamPair(np.zeros(dim), lam0)
-        if config.mode == MODE_SINGLE_EXPERT:
-            self.pool = ExpertPool(scheme=None, bounds=self.bounds)
-        else:
-            self.pool = ExpertPool(scheme=config.scheme, bounds=self.bounds)
+        self.pool = ExpertPool(scheme=config.scheme)
 
     def _activate(self, t: int):
         cfg = self.config
         if cfg.mode == MODE_SINGLE_EXPERT:
+            # one expert over [1, T], awake throughout, with round 1's step size
             if not self.pool.experts:
                 iv = Interval(1, self.total_rounds)
                 self.pool.experts[iv.length] = ExpertState(
                     interval=iv, params=self.meta.copy(),
-                    eta=stepsize(iv, self.bounds), active=True)
-            next(iter(self.pool.experts.values())).active = True
+                    eta=stepsize(iv.length, self.bounds), active=True)
         else:
-            self.pool.bounds = self.bounds
-            self.pool.activate(t, target_set(cfg.scheme, t), self.meta)
+            self.pool.activate(t, target_set(cfg.scheme, t), self.meta, self.bounds)
 
     def _weights(self) -> Dict[int, float]:
         cfg = self.config

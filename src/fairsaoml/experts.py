@@ -26,8 +26,8 @@ class GradientBoundConsts:
         return cls(s_radius=s, g_bound=math.sqrt(dim) + s)
 
 
-def stepsize(interval: Interval, bounds: GradientBoundConsts) -> float:
-    return bounds.s_radius / (bounds.g_bound * math.sqrt(interval.length))
+def stepsize(length: int, bounds: GradientBoundConsts) -> float:
+    return bounds.s_radius / (bounds.g_bound * math.sqrt(length))
 
 
 def update_g_bound(bounds: GradientBoundConsts, batch: TaskBatch) -> GradientBoundConsts:
@@ -51,13 +51,13 @@ class ExpertState:
 @dataclass
 class ExpertPool:
     scheme: IntervalScheme
-    bounds: GradientBoundConsts
     experts: Dict[int, ExpertState] = field(default_factory=dict)  # keyed by length
-    containment_activity: bool = False  # strict interval-containment variant
 
-    def activate(self, t: int, target: TargetSet, meta: ParamPair) -> List[Tuple[Interval, bool]]:
+    def activate(self, t: int, target: TargetSet, meta: ParamPair,
+                 bounds: GradientBoundConsts) -> List[Tuple[Interval, bool]]:
         """Run the scheme's activation subroutine for every target interval.
 
+        Step sizes use the nominal length, so AGC truncation leaves η unchanged.
         Returns (interval, inherited_rc) per activated expert.
         """
         if target.round != t:
@@ -76,7 +76,7 @@ class ExpertPool:
             self.experts[length] = ExpertState(
                 interval=iv,
                 params=meta.copy(),
-                eta=self.bounds.s_radius / (self.bounds.g_bound * math.sqrt(length)),
+                eta=stepsize(length, bounds),
                 r_stat=r,
                 c_stat=c,
                 active=True,
@@ -84,9 +84,7 @@ class ExpertPool:
             report.append((iv, pred is not None))
         restarted = {length for length, _ in target.members}
         for length, exp in self.experts.items():
-            if length in restarted:
-                continue
-            exp.active = (self.containment_activity and exp.interval.contains(t))
+            exp.active = length in restarted
         return report
 
     def partition(self, t: int) -> Tuple[List[ExpertState], List[ExpertState]]:

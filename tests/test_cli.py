@@ -2,9 +2,11 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from fairsaoml import cli
 from fairsaoml.engine import run
+from fairsaoml.intervals import IntervalScheme, expected_census
 
 
 def write_config(tmp_path, **overrides):
@@ -100,6 +102,34 @@ class TestRun:
         assert echo["ablation"] == {"disable_weights": True,
                                     "disable_base_learner": True}
 
+    @pytest.mark.parametrize("flag,value", [("--reps", "-1"), ("--reps", "0"),
+                                            ("--base", "0")])
+    def test_bad_flag_value_is_config_error(self, tmp_path, flag, value):
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path), flag, value]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_fairness_entry_defaults(self, tmp_path):
+        path, _ = write_config(tmp_path, reps=1, fairness=[{"kind": "deo"}])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        echo = json.loads((tmp_path / "out" / "config-echo.json").read_text())
+        assert echo["fairness"] == [{"kind": "deo", "epsilon": 0.05}]
+
+    def test_agc_horizon_is_the_csv_batch_count(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(data)]) == 0
+        cfg = json.loads(path.read_text())
+        del cfg["stream"]
+        cfg.update(scheme="agc", reps=1,
+                   csv={"path": str(data), "feature_columns": ["f0", "f1", "f2", "f3"]})
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        rows = read_rows(tmp_path / "out" / "rep2" / "rounds.csv")[1:]
+        scheme = IntervalScheme("agc", horizon=len(rows))
+        assert [int(r[6]) for r in rows] == [
+            expected_census(scheme, t)["total"] for t in range(1, len(rows) + 1)]
+
 
 class TestGenData:
     def test_deterministic_output(self, tmp_path):
@@ -108,6 +138,20 @@ class TestGenData:
         assert cli.main(["gen-data", "--config", str(path), "--out", str(p1)]) == 0
         assert cli.main(["gen-data", "--config", str(path), "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_seed_flag_seeds_the_stream(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(p1)]) == 0
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(p2),
+                         "--seed", "99"]) == 0
+        assert p1.read_bytes() != p2.read_bytes()
+
+    def test_run_only_flags_rejected(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--config", str(path), "--scheme", "agc"])
+        assert exc.value.code == 2
 
     def test_csv_config_rejected(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -135,13 +179,26 @@ class TestReport:
     def test_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--artifacts", str(tmp_path / "nope")]) == 2
 
+    def test_echo_with_horizon_key(self, tmp_path):
+        # older versions echoed a `horizon` key; report ignores it
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        echo_path = tmp_path / "out" / "config-echo.json"
+        echo = json.loads(echo_path.read_text())
+        before = (tmp_path / "out" / "regret.json").read_bytes()
+        echo["horizon"] = None
+        echo_path.write_text(json.dumps(echo))
+        assert cli.main(["report", "--artifacts", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "regret.json").read_bytes() == before
+
 
 class TestTrace:
     def test_round_trip_is_exact(self, tmp_path):
         path, _ = write_config(tmp_path, fairness=[{"kind": "ddp", "epsilon": 0.05},
                                                    {"kind": "deo", "epsilon": 0.1}])
         cfg = cli.load_config(str(path))
-        records = run(cli.build_run_config(cfg, cfg["seed"]), cli.build_batches(cfg))
+        batches = cli.build_batches(cfg)
+        records = run(cli.build_run_config(cfg, cfg["seed"], len(batches)), batches)
         assert len(records) >= 4
         cli.write_trace(records, tmp_path / "trace.npz")
         thetas, batches, g_prev = cli.read_trace(tmp_path / "trace.npz")
@@ -181,6 +238,9 @@ class TestErrors:
         raw["mystery"] = 1
         path.write_text(json.dumps(raw))
         assert cli.main(["run", "--config", str(path)]) == 2
+        # AGC's horizon is the number of batches, so no config states it
+        path, _ = write_config(tmp_path, scheme="agc", horizon=4)
+        assert cli.main(["run", "--config", str(path)]) == 2
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,3 +258,22 @@ class TestErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"scheme": "dgc"}))
         assert cli.main(["run", "--config", str(path)]) == 2
+
+
+class TestFlags:
+    def test_every_flag_is_a_validated_config_key(self):
+        """Each option maps through overrides() to a CONFIG_SCHEMA property."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        checked = 0
+        for name, sub in commands.items():
+            for action in sub._actions:
+                if action.dest == "help" or action.dest in cli.NOT_CONFIG:
+                    continue
+                value = action.choices[-1] if action.choices else (action.type or str)("1")
+                mapped = cli.overrides(sub.parse_args(
+                    ["--config", "c.json", action.option_strings[0], str(value)]))
+                assert mapped and set(mapped) <= set(cli.CONFIG_SCHEMA["properties"]), \
+                    f"{name} {action.option_strings[0]} -> {mapped}"
+                checked += 1
+        assert checked == 16  # gen-data: out, seed; run and sweep-base: seven each

@@ -14,14 +14,16 @@ def meta(d=3):
     return ParamPair(np.zeros(d), np.array([0.0]))
 
 
+BOUNDS = GradientBoundConsts.default(0.05, 3)
+
+
 def make_pool(kind, horizon=None, base=2):
-    scheme = IntervalScheme(kind, horizon=horizon, base=base)
-    return ExpertPool(scheme=scheme, bounds=GradientBoundConsts.default(0.05, 3))
+    return ExpertPool(scheme=IntervalScheme(kind, horizon=horizon, base=base))
 
 
 def drive(pool, up_to):
     for t in range(1, up_to + 1):
-        pool.activate(t, target_set(pool.scheme, t), meta())
+        pool.activate(t, target_set(pool.scheme, t), meta(), BOUNDS)
 
 
 class TestBounds:
@@ -32,7 +34,7 @@ class TestBounds:
 
     def test_stepsize_formula(self):
         b = GradientBoundConsts(0.05, 2.0)
-        assert stepsize(Interval(3, 6), b) == pytest.approx(0.05 / (2.0 * 2.0))
+        assert stepsize(Interval(3, 6).length, b) == pytest.approx(0.05 / (2.0 * 2.0))
 
     def test_g_bound_running_max(self):
         b = GradientBoundConsts(0.05, 2.0)
@@ -49,7 +51,7 @@ class TestCensus:
     def test_matches_closed_form(self, kind, horizon):
         pool = make_pool(kind, horizon)
         for t in range(1, 19):
-            pool.activate(t, target_set(pool.scheme, t), meta())
+            pool.activate(t, target_set(pool.scheme, t), meta(), BOUNDS)
             census = expected_census(pool.scheme, t)
             assert len(pool.experts) == census["total"]
             active, _ = pool.partition(t)
@@ -71,7 +73,7 @@ class TestInheritance:
         pool = make_pool("di")
         drive(pool, 3)
         pool.experts[2].r_stat, pool.experts[2].c_stat = 0.7, 0.9
-        pool.activate(4, target_set(pool.scheme, 4), meta())
+        pool.activate(4, target_set(pool.scheme, 4), meta(), BOUNDS)
         # the length-3 expert at t=4 ([2,4]) takes over the old length-2 stats
         assert pool.experts[3].r_stat == 0.7
         assert pool.experts[3].c_stat == 0.9
@@ -82,7 +84,7 @@ class TestInheritance:
         pool = make_pool("agc", horizon=18)
         drive(pool, 4)
         pool.experts[4].r_stat, pool.experts[4].c_stat = 0.3, 0.4
-        pool.activate(5, target_set(pool.scheme, 5), meta())
+        pool.activate(5, target_set(pool.scheme, 5), meta(), BOUNDS)
         assert pool.experts[4].interval == Interval(5, 8)
         assert (pool.experts[4].r_stat, pool.experts[4].c_stat) == (0.3, 0.4)
 
@@ -91,27 +93,27 @@ class TestInheritance:
         drive(pool, 2)
         del pool.experts[2]
         with pytest.raises(InternalConsistencyError):
-            pool.activate(3, target_set(pool.scheme, 3), meta())
+            pool.activate(3, target_set(pool.scheme, 3), meta(), BOUNDS)
 
     def test_dgc_starts_clean_without_predecessor(self):
         pool = make_pool("dgc")
         drive(pool, 1)
         pool.experts[1].r_stat = 0.5
-        pool.activate(2, target_set(pool.scheme, 2), meta())
+        pool.activate(2, target_set(pool.scheme, 2), meta(), BOUNDS)
         assert pool.experts[1].r_stat == 0.5   # length-1 chain continues
         assert pool.experts[2].r_stat == 0.0   # first length-2 expert is fresh
 
     def test_wrong_round_rejected(self):
         pool = make_pool("dgc")
         with pytest.raises(InternalConsistencyError):
-            pool.activate(2, target_set(pool.scheme, 1), meta())
+            pool.activate(2, target_set(pool.scheme, 1), meta(), BOUNDS)
 
 
 class TestActivation:
     def test_restart_copies_meta(self):
         pool = make_pool("dgc")
         m = ParamPair(np.array([0.01, 0.02, 0.0]), np.array([0.5]))
-        pool.activate(1, target_set(pool.scheme, 1), m)
+        pool.activate(1, target_set(pool.scheme, 1), m, BOUNDS)
         exp = pool.experts[1]
         assert np.array_equal(exp.params.theta, m.theta)
         m.theta[0] = 9.0
@@ -123,23 +125,15 @@ class TestActivation:
         # [17,18] is the truncated tail of the length-8 subset
         exp = pool.experts[8]
         assert exp.interval == Interval(17, 18)
-        b = pool.bounds
+        b = BOUNDS
         assert exp.eta == pytest.approx(b.s_radius / (b.g_bound * math.sqrt(8)))
 
     def test_sleeping_params_frozen(self):
         pool = make_pool("agc", horizon=18)
         m1 = ParamPair(np.array([0.01, 0.0, 0.0]), np.array([0.0]))
-        pool.activate(1, target_set(pool.scheme, 1), m1)
+        pool.activate(1, target_set(pool.scheme, 1), m1, BOUNDS)
         stored = pool.experts[8].params.theta.copy()
         m2 = ParamPair(np.array([0.02, 0.0, 0.0]), np.array([0.0]))
-        pool.activate(2, target_set(pool.scheme, 2), m2)  # length 8 not in C_2
+        pool.activate(2, target_set(pool.scheme, 2), m2, BOUNDS)  # length 8 not in C_2
         assert not pool.experts[8].active
         assert np.array_equal(pool.experts[8].params.theta, stored)
-
-    def test_containment_activity_variant(self):
-        pool = make_pool("agc", horizon=18)
-        pool.containment_activity = True
-        drive(pool, 2)
-        # [1,8] contains t=2, so the strict-containment variant keeps it active
-        active, sleeping = pool.partition(2)
-        assert len(active) == 4 and not sleeping
