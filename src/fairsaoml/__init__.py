@@ -1,7 +1,6 @@
 """Strongly adaptive fairness-constrained online meta-learning engine."""
 
-from .engine import (AblationFlags, RoundRecord, RunConfig, SplitSizes, run,
-                     run_ablation, run_baseline_single_expert)
+from .engine import AblationFlags, RoundRecord, RunConfig, SplitSizes, run
 from .intervals import Interval, IntervalScheme, TargetSet, target_set
 from .model_core import FairnessSpec, LossSpec, ParamPair, TaskBatch
 from .stream import CsvSchema, EnvSpec, StreamSpec, generate_stream, load_csv, save_csv
@@ -10,8 +9,7 @@ __all__ = [
     "AblationFlags", "CsvSchema", "EnvSpec", "FairnessSpec", "Interval",
     "IntervalScheme", "LossSpec", "ParamPair", "RoundRecord", "RunConfig",
     "SplitSizes", "StreamSpec", "TargetSet", "TaskBatch", "generate_stream",
-    "load_csv", "run", "run_ablation", "run_baseline_single_expert",
-    "save_csv", "target_set",
+    "load_csv", "run", "save_csv", "target_set",
 ]
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ CONFIG_SCHEMA = {
         "delta": {"type": "number", "exclusiveMinimum": 0},
         "eta1": {"type": "number", "exclusiveMinimum": 0},
         "eta2": {"type": "number", "exclusiveMinimum": 0},
-        "first_order": {"type": "boolean"},
         "s_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "loss": {
             "type": "object",
@@ -145,7 +144,6 @@ DEFAULTS = {
     "delta": LagrangianConfig.delta,
     "eta1": LagrangianConfig.eta1,
     "eta2": LagrangianConfig.eta2,
-    "first_order": LagrangianConfig.first_order,
     "s_radius": RunConfig.s_radius,
     "loss": {"kind": LossSpec.kind, "l2": LossSpec.l2_coefficient},
     "fairness": [asdict(FairnessSpec())],
@@ -224,8 +222,7 @@ def build_run_config(cfg: dict, seed: int, rounds: int) -> RunConfig:
         scheme=scheme,
         n_meta=cfg["n_meta"],
         lagrangian=LagrangianConfig(delta=cfg["delta"], eta1=cfg["eta1"],
-                                    eta2=cfg["eta2"], inner_steps=cfg["inner_steps"],
-                                    first_order=cfg["first_order"]),
+                                    eta2=cfg["eta2"], inner_steps=cfg["inner_steps"]),
         loss=LossSpec(kind=cfg["loss"]["kind"], l2_coefficient=cfg["loss"]["l2"]),
         fairness=tuple(FairnessSpec(kind=f["kind"], epsilon=f["epsilon"])
                        for f in cfg["fairness"]),
@@ -469,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name):
-        p = sub.add_parser(name)
+        # no prefix matching, so that `sweep-base --base` is not read as `--bases`
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
@@ -479,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser, sweep = command("run"), command("sweep-base")
     for p in (run_parser, sweep):
         p.add_argument("--scheme", choices=["di", "agc", "dgc"])
-        p.add_argument("--base", type=int)
         p.add_argument("--reps", type=int)
         p.add_argument("--ablation", choices=["weights", "base-learner", "both"])
         p.add_argument("--mode", choices=["fairsaoml", "single-expert"])
+    run_parser.add_argument("--base", type=int)
     sweep.add_argument("--bases", default="2,3,4,5")
     report = sub.add_parser("report")
     report.add_argument("--artifacts", required=True)

@@ -67,9 +67,6 @@ class RunConfig:
 class ExpertRecord:
     interval: Interval
     weight: float
-    r_stat: float
-    c_stat: float
-    active: bool
 
 
 @dataclass
@@ -174,8 +171,7 @@ class Engine:
                                              cfg.fairness, exp.eta,
                                              cfg.lagrangian.inner_steps)
                     inner_calls += 1
-            terms = [ExpertTerm(weight=weights[key], pair=exp.params,
-                                active=exp.active, eta=exp.eta)
+            terms = [ExpertTerm(weight=weights[key], pair=exp.params, active=exp.active)
                      for key, exp in experts.items()]
             self.meta = meta_update(self.meta, terms, split_n.query, cfg.loss,
                                     cfg.fairness, cfg.lagrangian, self.ball)
@@ -188,11 +184,8 @@ class Engine:
 
         g_current = [float(v) for v in constraint_values(self.meta.theta, validation,
                                                          cfg.fairness)]
-        expert_records = [
-            ExpertRecord(interval=exp.interval, weight=weights[key],
-                         r_stat=exp.r_stat, c_stat=exp.c_stat, active=exp.active)
-            for key, exp in sorted(experts.items())
-        ]
+        expert_records = [ExpertRecord(interval=exp.interval, weight=weights[key])
+                          for key, exp in sorted(experts.items())]
         return RoundRecord(
             t=t,
             val_loss=val_loss,
@@ -231,15 +224,3 @@ def run(config: RunConfig, stream: Sequence[TaskBatch]) -> List[RoundRecord]:
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"round {t}: {exc}") from exc
     return records
-
-
-def run_ablation(config: RunConfig, stream: Sequence[TaskBatch],
-                 flags: AblationFlags) -> List[RoundRecord]:
-    cfg = RunConfig(**{**config.__dict__, "ablation": flags})
-    return run(cfg, stream)
-
-
-def run_baseline_single_expert(config: RunConfig, stream: Sequence[TaskBatch]) -> List[RoundRecord]:
-    """One always-active expert spanning the whole run."""
-    cfg = RunConfig(**{**config.__dict__, "mode": MODE_SINGLE_EXPERT})
-    return run(cfg, stream)

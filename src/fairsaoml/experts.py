@@ -20,11 +20,6 @@ class GradientBoundConsts:
     s_radius: float
     g_bound: float
 
-    @classmethod
-    def default(cls, epsilon: float, dim: int) -> "GradientBoundConsts":
-        s = math.sqrt(1.0 + 2.0 * epsilon) - 1.0
-        return cls(s_radius=s, g_bound=math.sqrt(dim) + s)
-
 
 def stepsize(length: int, bounds: GradientBoundConsts) -> float:
     return bounds.s_radius / (bounds.g_bound * math.sqrt(length))
@@ -86,11 +81,6 @@ class ExpertPool:
         for length, exp in self.experts.items():
             exp.active = length in restarted
         return report
-
-    def partition(self, t: int) -> Tuple[List[ExpertState], List[ExpertState]]:
-        active = [e for e in self.experts.values() if e.active]
-        sleeping = [e for e in self.experts.values() if not e.active]
-        return active, sleeping
 
     def rc_stats(self) -> Dict[int, Tuple[float, float]]:
         return {length: (e.r_stat, e.c_stat) for length, e in self.experts.items()}

@@ -6,7 +6,7 @@ configurable base. All queries are pure and stateless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .errors import ConfigurationError
 
@@ -27,9 +27,6 @@ class Interval:
     @property
     def length(self) -> int:
         return self.end - self.start + 1
-
-    def contains(self, t: int) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,10 @@ class IntervalScheme:
 @dataclass(frozen=True)
 class TargetSet:
     round: int
-    intervals: tuple  # unique Interval, all starting at `round` (DI: all ending at it)
-    # (nominal_length, interval) per family member; AGC truncation can give an
-    # interval a shorter actual length than its subset's nominal one
-    members: tuple = ()
+    # (nominal_length, interval) per family member, each interval starting at
+    # `round` (DI: ending at it); AGC truncation can give an interval a shorter
+    # actual length than its subset's nominal one
+    members: tuple
 
 
 def ilog(base: int, n: int) -> int:
@@ -90,66 +87,4 @@ def target_set(scheme: IntervalScheme, t: int) -> TargetSet:
             if t % b ** k == 0:
                 members.append((b ** k, Interval(t, t + b ** k - 1)))
             k += 1
-    unique = tuple(sorted(set(iv for _, iv in members)))
-    return TargetSet(round=t, intervals=unique, members=tuple(members))
-
-
-def enumerate_full_set(scheme: IntervalScheme, up_to: int) -> List[Interval]:
-    """All intervals of the family that intersect [1, up_to].
-
-    For DI the family is horizon-dependent; it is enumerated with the
-    horizon taken as up_to.
-    """
-    if up_to < 1:
-        raise ConfigurationError("up_to must be >= 1")
-    b = scheme.base
-    out: List[Interval] = []
-    if scheme.kind == DI:
-        for k in range(1, up_to + 1):
-            for q in range(k, up_to + 1):
-                out.append(Interval(k, q))
-    elif scheme.kind == AGC:
-        T = scheme.horizon
-        for k in range(ilog(b, T)):
-            i = 1
-            while (i - 1) * b ** k + 1 <= min(T, up_to):
-                out.append(Interval((i - 1) * b ** k + 1, min(T, i * b ** k)))
-                i += 1
-    else:  # DGC
-        k = 0
-        while b ** k <= up_to:
-            i = 1
-            while i * b ** k <= up_to:
-                out.append(Interval(i * b ** k, (i + 1) * b ** k - 1))
-                i += 1
-            k += 1
-    return out
-
-
-def brute_force_target_set(scheme: IntervalScheme, t: int, up_to: int) -> TargetSet:
-    """Oracle: filter the enumerated family by the membership predicate.
-
-    AGC/DGC select intervals containing t but not t-1; DI selects the
-    intervals ending at t.
-    """
-    if t > up_to:
-        raise ConfigurationError("t must be <= up_to")
-    full = enumerate_full_set(scheme, up_to)
-    if scheme.kind == DI:
-        picked = [iv for iv in full if iv.end == t]
-    else:
-        picked = [iv for iv in full if iv.contains(t) and not iv.contains(t - 1)]
-    return TargetSet(round=t, intervals=tuple(sorted(set(picked))))
-
-
-def expected_census(scheme: IntervalScheme, t: int) -> dict:
-    """Total and maximum-active expert counts at round t."""
-    if t < 1:
-        raise ConfigurationError("t must be >= 1")
-    if scheme.kind == DI:
-        total = t
-    elif scheme.kind == AGC:
-        total = ilog(scheme.base, scheme.horizon)
-    else:
-        total = ilog(scheme.base, t) + 1
-    return {"total": total, "active_max": total}
+    return TargetSet(round=t, members=tuple(members))

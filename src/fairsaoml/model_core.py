@@ -106,15 +106,6 @@ class LossSpec:
             raise ConfigurationError("l2_coefficient must be >= 0")
 
 
-def predict(theta: np.ndarray, e: np.ndarray) -> float:
-    """Linear score for a single feature vector."""
-    theta = np.asarray(theta, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if theta.shape != e.shape:
-        raise ConfigurationError("dimension mismatch between theta and features")
-    return float(theta @ e)
-
-
 def scores(theta: np.ndarray, batch: TaskBatch) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (batch.dim,):
@@ -140,14 +131,6 @@ def loss_grad(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> np.ndarray
     sig = 1.0 / (1.0 + np.exp(batch.labels * z))
     g = -(batch.labels * sig) @ batch.features / batch.size
     return g + spec.l2_coefficient * np.asarray(theta, dtype=float)
-
-
-def loss_hessian(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> np.ndarray:
-    z = scores(theta, batch)
-    sig = 1.0 / (1.0 + np.exp(batch.labels * z))
-    w = sig * (1.0 - sig)
-    h = (batch.features * w[:, None]).T @ batch.features / batch.size
-    return h + spec.l2_coefficient * np.eye(batch.dim)
 
 
 def estimate_p1(batch: TaskBatch, kind: str) -> float:

@@ -8,8 +8,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
-                         fairness_grad, fairness_value, loss, loss_grad,
-                         loss_hessian)
+                         fairness_grad, fairness_value, loss, loss_grad)
 
 
 @dataclass(frozen=True)
@@ -18,7 +17,6 @@ class LagrangianConfig:
     eta1: float = 0.01
     eta2: float = 0.01
     inner_steps: int = 1
-    first_order: bool = True  # False: differentiate through one adaptation step
 
     def __post_init__(self):
         if self.delta <= 0 or self.eta1 <= 0 or self.eta2 <= 0 or self.inner_steps < 1:
@@ -56,13 +54,9 @@ def interval_lagrangian(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
     return loss(pair.theta, batch, loss_spec) + float(pair.lam @ g)
 
 
-def interval_lagrangian_theta_grad(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
+def interval_lagrangian_theta_grad(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch,
+                                   loss_spec: LossSpec,
                                    fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
-    return _theta_grad(pair.theta, pair.lam, batch, loss_spec, fairness_specs)
-
-
-def _theta_grad(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch, loss_spec: LossSpec,
-                fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
     grad = loss_grad(theta, batch, loss_spec)
     for lam_i, fs in zip(lam, fairness_specs):
         grad = grad + lam_i * fairness_grad(theta, batch, fs)
@@ -79,7 +73,8 @@ def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
     theta = meta.theta.copy()
     lam = meta.lam.copy()
     for _ in range(steps):
-        theta = theta - eta * _theta_grad(theta, lam, support, loss_spec, fairness_specs)
+        theta = theta - eta * interval_lagrangian_theta_grad(theta, lam, support, loss_spec,
+                                                              fairness_specs)
         lam = np.maximum(lam + eta * constraint_values(theta, support, fairness_specs), 0.0)
         if not (np.isfinite(theta).all() and np.isfinite(lam).all()):
             raise NumericalFailureError("non-finite iterate in inner adaptation")
@@ -92,22 +87,6 @@ class ExpertTerm:
     weight: float
     pair: ParamPair
     active: bool
-    eta: float = 0.0  # inner stepsize, used by the full-Jacobian mode
-
-
-def meta_lagrangian(terms: Sequence[ExpertTerm], query: TaskBatch, loss_spec: LossSpec,
-                    fairness_specs: Sequence[FairnessSpec],
-                    config: LagrangianConfig) -> float:
-    c = 0.5 * config.dual_damping
-    total = 0.0
-    for term in terms:
-        g = constraint_values(term.pair.theta, query, fairness_specs)
-        total += term.weight * (
-            loss(term.pair.theta, query, loss_spec)
-            + float(term.pair.lam @ g)
-            - c * float(term.pair.lam @ term.pair.lam)
-        )
-    return total
 
 
 def meta_gradients(terms: Sequence[ExpertTerm], meta: ParamPair, query: TaskBatch,
@@ -119,20 +98,13 @@ def meta_gradients(terms: Sequence[ExpertTerm], meta: ParamPair, query: TaskBatc
     experts hold frozen primal terms and contribute to the dual gradient
     only through the damping term at the meta dual.
     """
-    d = query.dim
-    m = len(fairness_specs)
-    g_theta = np.zeros(d)
-    g_lambda = np.zeros(m)
+    g_theta = np.zeros(query.dim)
+    g_lambda = np.zeros(len(fairness_specs))
     damping = config.dual_damping
     for term in terms:
         if term.active:
-            grad = interval_lagrangian_theta_grad(term.pair, query, loss_spec, fairness_specs)
-            if not config.first_order:
-                # chain rule through one inner step: I - eta * hess(F)
-                # (the constraint surrogate is piecewise linear, hessian-free)
-                jac = np.eye(d) - term.eta * loss_hessian(meta.theta, query, loss_spec)
-                grad = jac.T @ grad
-            g_theta += term.weight * grad
+            g_theta += term.weight * interval_lagrangian_theta_grad(
+                term.pair.theta, term.pair.lam, query, loss_spec, fairness_specs)
             g = constraint_values(term.pair.theta, query, fairness_specs)
             g_lambda += term.weight * (g - damping * term.pair.lam)
         else:

@@ -49,18 +49,6 @@ class StreamSpec:
         if self.batch_size < 4:
             raise ConfigurationError("batch_size too small")
 
-    @property
-    def total_rounds(self) -> int:
-        return sum(env.n_tasks for env in self.environments)
-
-    def boundaries(self) -> List[int]:
-        """First round index (1-based) of each environment after the first."""
-        out, acc = [], 0
-        for env in self.environments[:-1]:
-            acc += env.n_tasks
-            out.append(acc + 1)
-        return out
-
 
 def _draw_batch(rng: np.random.Generator, env: EnvSpec, batch_size: int,
                 round_index: int) -> TaskBatch:
@@ -88,24 +76,6 @@ def generate_stream(spec: StreamSpec) -> List[TaskBatch]:
             t += 1
             out.append(_draw_batch(rng, env, spec.batch_size, t))
     return out
-
-
-def default_drift_spec(tasks_per_env: int, seed: int = 0,
-                       batch_size: int = 200) -> StreamSpec:
-    """Three-environment drift: the boundary flips sign mid-run and flips back,
-    while the group bias grows, so the equal-opportunity disparity of the label
-    process shrinks over the run."""
-    b = (1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    nb = tuple(-v for v in b)
-    return StreamSpec(
-        environments=(
-            EnvSpec(tasks_per_env, 10, b, group_bias=0.2, noise=0.05),
-            EnvSpec(tasks_per_env, 10, nb, group_bias=0.5, noise=0.05),
-            EnvSpec(tasks_per_env, 10, b, group_bias=0.8, noise=0.05),
-        ),
-        batch_size=batch_size,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)

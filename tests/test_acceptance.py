@@ -6,16 +6,15 @@ Multi-seed experiments use seeds 0..9 and report seed-averaged statistics.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairsaoml import hedge
 from fairsaoml.engine import (MODE_SINGLE_EXPERT, AblationFlags, RunConfig,
-                              SplitSizes, run, run_ablation,
-                              run_baseline_single_expert)
-from fairsaoml.intervals import (Interval, IntervalScheme, enumerate_full_set,
-                                 expected_census, ilog, target_set)
+                              SplitSizes, run)
+from fairsaoml.intervals import Interval, IntervalScheme, ilog, target_set
 from fairsaoml.metrics import (cumulative_violation, fair_sar_estimate,
                                offline_minimizer)
 from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
@@ -23,10 +22,10 @@ from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
                                   fairness_value, loss, loss_grad)
 from fairsaoml.optimizer import (Ball, ExpertTerm, LagrangianConfig,
                                  interval_lagrangian,
-                                 interval_lagrangian_theta_grad,
-                                 meta_gradients, meta_lagrangian)
-from fairsaoml.stream import (EnvSpec, StreamSpec, default_drift_spec,
-                              generate_stream)
+                                 interval_lagrangian_theta_grad, meta_gradients)
+from fairsaoml.stream import EnvSpec, StreamSpec, generate_stream
+from oracles import (default_drift_spec, enumerate_full_set, expected_census,
+                     intervals, meta_lagrangian)
 
 SEEDS = range(10)
 
@@ -44,8 +43,8 @@ def assert_feasible(records, radius: float) -> None:
         assert all(v >= 0.0 for v in rec.lambda_values)
 
 
-def checked_run(config, stream, runner=run, **kw):
-    records = runner(config, stream, **kw)
+def checked_run(config, stream):
+    records = run(config, stream)
     assert_feasible(records, config.radius() if config.s_radius is None
                     else config.s_radius)
     return records
@@ -74,7 +73,7 @@ def _scan_geometric(kind: str, base: int, limit: int) -> None:
         picked = sorted({(int(s), int(e)) for s, e in
                          zip(starts[inside_t & ~inside_prev],
                              ends[inside_t & ~inside_prev])})
-        got = [(iv.start, iv.end) for iv in target_set(scheme, t).intervals]
+        got = [(iv.start, iv.end) for iv in intervals(target_set(scheme, t))]
         assert got == picked, (kind, base, t)
         total = expected_census(scheme, t)["total"]
         if kind == "agc":
@@ -96,7 +95,7 @@ def test_criterion_1_interval_oracle_equivalence():
     for t in range(1, limit + 1):
         lo, hi = np.searchsorted(sorted_ends, (t, t + 1))
         picked = sorted({(int(starts[i]), t) for i in order[lo:hi]})
-        got = [(iv.start, iv.end) for iv in target_set(di, t).intervals]
+        got = [(iv.start, iv.end) for iv in intervals(target_set(di, t))]
         assert got == picked, ("di", t)
         assert expected_census(di, t)["total"] == t
     for base in (2, 3, 4, 5):
@@ -114,14 +113,14 @@ def test_criterion_1_interval_oracle_equivalence():
 
 def test_criterion_2_worked_examples():
     agc = IntervalScheme("agc", horizon=18)
-    ok = target_set(agc, 5).intervals == (Interval(5, 5), Interval(5, 6),
-                                          Interval(5, 8))
+    ok = intervals(target_set(agc, 5)) == (Interval(5, 5), Interval(5, 6),
+                                           Interval(5, 8))
     lengths = {length for t in range(1, 19)
                for length, _ in target_set(agc, t).members}
     ok = ok and lengths == {1, 2, 4, 8}
     dgc = IntervalScheme("dgc")
-    ok = ok and target_set(dgc, 5).intervals == (Interval(5, 5),)
-    ok = ok and Interval(16, 31) in target_set(dgc, 16).intervals
+    ok = ok and intervals(target_set(dgc, 5)) == (Interval(5, 5),)
+    ok = ok and Interval(16, 31) in intervals(target_set(dgc, 16))
     report(2, ok, "AGC/DGC worked examples reproduced exactly")
 
 
@@ -205,7 +204,7 @@ def test_criterion_4_gradient_correctness():
              _central_fd(lambda th: loss(th, batch, loss_spec), theta)),
             (fairness_grad(theta, batch, specs[0]),
              _central_fd(lambda th: fairness_value(th, batch, specs[0]), theta)),
-            (interval_lagrangian_theta_grad(pair, batch, loss_spec, specs),
+            (interval_lagrangian_theta_grad(theta, lam, batch, loss_spec, specs),
              _central_fd(lambda th: interval_lagrangian(ParamPair(th, lam),
                                                         batch, loss_spec, specs),
                          theta)),
@@ -359,7 +358,7 @@ def test_criterion_8_adaptation_ordering():
                         seed=seed, split=SplitSizes(20, 40),
                         lagrangian=LagrangianConfig(eta1=0.05, eta2=0.05))
         agc = checked_run(cfg, stream)
-        single = checked_run(cfg, stream, runner=run_baseline_single_expert)
+        single = checked_run(replace(cfg, mode=MODE_SINGLE_EXPERT), stream)
         gaps.append(np.mean([r.val_acc for r in agc[half:]])
                     - np.mean([r.val_acc for r in single[half:]]))
         masses.append(min(sum(e.weight for e in rec.experts
@@ -396,7 +395,7 @@ def test_criterion_9_ablation_direction():
                                                     eta2=0.05))
         full = checked_run(cfg, stream)
         flags = AblationFlags(disable_weights=True, disable_base_learner=True)
-        ablated = checked_run(cfg, stream, runner=run_ablation, flags=flags)
+        ablated = checked_run(replace(cfg, ablation=flags), stream)
         # structural per-round verification of the two flags
         for rec in ablated:
             u = 1.0 / rec.n_experts

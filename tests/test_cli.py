@@ -6,7 +6,8 @@ import pytest
 
 from fairsaoml import cli
 from fairsaoml.engine import run
-from fairsaoml.intervals import IntervalScheme, expected_census
+from fairsaoml.intervals import IntervalScheme
+from oracles import expected_census
 
 
 def write_config(tmp_path, **overrides):
@@ -180,16 +181,20 @@ class TestReport:
         assert cli.main(["report", "--artifacts", str(tmp_path / "nope")]) == 2
 
     def test_echo_with_horizon_key(self, tmp_path):
-        # older versions echoed a `horizon` key; report ignores it
+        # older versions echoed the `horizon` and `first_order` keys; report ignores them
         path, _ = write_config(tmp_path, reps=1)
         assert cli.main(["run", "--config", str(path)]) == 0
-        echo_path = tmp_path / "out" / "config-echo.json"
-        echo = json.loads(echo_path.read_text())
-        before = (tmp_path / "out" / "regret.json").read_bytes()
-        echo["horizon"] = None
-        echo_path.write_text(json.dumps(echo))
-        assert cli.main(["report", "--artifacts", str(tmp_path / "out")]) == 0
-        assert (tmp_path / "out" / "regret.json").read_bytes() == before
+        out = tmp_path / "out"
+        echo_path = out / "config-echo.json"
+        before = {name: (out / name).read_bytes() for name in ("regret.json", "metrics.csv")}
+        for key, value in (("horizon", None), ("first_order", True)):
+            echo = json.loads(echo_path.read_text())
+            echo[key] = value
+            echo_path.write_text(json.dumps(echo))
+            for name in before:
+                (out / name).unlink()
+            assert cli.main(["report", "--artifacts", str(out)]) == 0
+            assert {name: (out / name).read_bytes() for name in before} == before
 
 
 class TestTrace:
@@ -227,6 +232,14 @@ class TestSweep:
         path, cfg = write_config(tmp_path)
         assert cli.main(["sweep-base", "--config", str(path), "--bases", "1"]) == 2
 
+    def test_base_flag_rejected(self, tmp_path):
+        # sweep-base takes no --base, and it is not read as an abbreviation of --bases
+        path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-base", "--config", str(path), "--base", "7"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
@@ -240,6 +253,9 @@ class TestErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
         # AGC's horizon is the number of batches, so no config states it
         path, _ = write_config(tmp_path, scheme="agc", horizon=4)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        # the full-Jacobian mode and its key are gone
+        path, _ = write_config(tmp_path, first_order=False)
         assert cli.main(["run", "--config", str(path)]) == 2
 
     def test_malformed_json(self, tmp_path):
@@ -276,4 +292,5 @@ class TestFlags:
                 assert mapped and set(mapped) <= set(cli.CONFIG_SCHEMA["properties"]), \
                     f"{name} {action.option_strings[0]} -> {mapped}"
                 checked += 1
-        assert checked == 16  # gen-data: out, seed; run and sweep-base: seven each
+        # gen-data: out, seed; run: seven; sweep-base: six (its bases come from --bases)
+        assert checked == 15

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fairsaoml.engine import (AblationFlags, MODE_SINGLE_EXPERT, RunConfig,
-                              SplitSizes, run, run_ablation,
-                              run_baseline_single_expert)
+                              SplitSizes, run)
 from fairsaoml.errors import ConfigurationError
-from fairsaoml.intervals import IntervalScheme, expected_census, target_set
+from fairsaoml.intervals import IntervalScheme, target_set
 from fairsaoml.model_core import FairnessSpec, LossSpec
 from fairsaoml.stream import EnvSpec, StreamSpec, generate_stream
+from oracles import expected_census
 
 
 def make_stream(n_tasks=8, bias=0.4, seed=0, dim=4, batch=140):
@@ -110,7 +112,7 @@ class TestAccounting:
 class TestModesAndAblations:
     def test_single_expert_structure(self):
         cfg = make_config("dgc")
-        records = run_baseline_single_expert(cfg, make_stream(8))
+        records = run(replace(cfg, mode=MODE_SINGLE_EXPERT), make_stream(8))
         for rec in records:
             assert rec.n_experts == 1
             assert rec.n_active == 1
@@ -125,22 +127,18 @@ class TestModesAndAblations:
 
     def test_disable_weights_uniform(self):
         cfg = make_config("dgc")
-        records = run_ablation(cfg, make_stream(8), AblationFlags(disable_weights=True))
+        records = run(replace(cfg, ablation=AblationFlags(disable_weights=True)),
+                      make_stream(8))
         for rec in records:
             u = 1.0 / rec.n_experts
             assert all(e.weight == pytest.approx(u) for e in rec.experts)
 
     def test_disable_base_learner_freezes_adaptation(self):
         cfg = make_config("dgc")
-        records = run_ablation(cfg, make_stream(8),
-                               AblationFlags(disable_base_learner=True))
+        records = run(replace(cfg, ablation=AblationFlags(disable_base_learner=True)),
+                      make_stream(8))
         for rec in records:
             assert rec.inner_adapt_calls == 0
-
-    def test_ablation_does_not_mutate_config(self):
-        cfg = make_config("dgc")
-        run_ablation(cfg, make_stream(4), AblationFlags(disable_weights=True))
-        assert cfg.ablation == AblationFlags()
 
 
 class TestLearning:

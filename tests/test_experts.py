@@ -6,15 +6,18 @@ import pytest
 from fairsaoml.errors import InternalConsistencyError
 from fairsaoml.experts import (ExpertPool, GradientBoundConsts, stepsize,
                                update_g_bound)
-from fairsaoml.intervals import Interval, IntervalScheme, expected_census, target_set
+from fairsaoml.intervals import Interval, IntervalScheme, target_set
 from fairsaoml.model_core import ParamPair, TaskBatch
+from oracles import expected_census
 
 
 def meta(d=3):
     return ParamPair(np.zeros(d), np.array([0.0]))
 
 
-BOUNDS = GradientBoundConsts.default(0.05, 3)
+# the engine's starting bounds at epsilon = 0.05, d = 3: radius sqrt(1 + 2 eps) - 1
+S_RADIUS = math.sqrt(1.1) - 1.0
+BOUNDS = GradientBoundConsts(S_RADIUS, math.sqrt(3) + S_RADIUS)
 
 
 def make_pool(kind, horizon=None, base=2):
@@ -27,11 +30,6 @@ def drive(pool, up_to):
 
 
 class TestBounds:
-    def test_default_radius(self):
-        b = GradientBoundConsts.default(0.05, 10)
-        assert b.s_radius == pytest.approx(math.sqrt(1.1) - 1.0)
-        assert b.g_bound == pytest.approx(math.sqrt(10) + b.s_radius)
-
     def test_stepsize_formula(self):
         b = GradientBoundConsts(0.05, 2.0)
         assert stepsize(Interval(3, 6).length, b) == pytest.approx(0.05 / (2.0 * 2.0))
@@ -54,7 +52,7 @@ class TestCensus:
             pool.activate(t, target_set(pool.scheme, t), meta(), BOUNDS)
             census = expected_census(pool.scheme, t)
             assert len(pool.experts) == census["total"]
-            active, _ = pool.partition(t)
+            active = [e for e in pool.experts.values() if e.active]
             # one restart per subset; truncation can merge their intervals
             restarted = {length for length, _ in target_set(pool.scheme, t).members}
             assert len(active) == len(restarted)
@@ -62,7 +60,8 @@ class TestCensus:
     def test_agc_reference_counts_at_t5(self):
         pool = make_pool("agc", horizon=18)
         drive(pool, 5)
-        active, sleeping = pool.partition(5)
+        active = [e for e in pool.experts.values() if e.active]
+        sleeping = [e for e in pool.experts.values() if not e.active]
         assert len(active) == 3
         assert len(sleeping) == 1
         assert sleeping[0].interval == Interval(1, 8)

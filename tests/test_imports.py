@@ -1,13 +1,18 @@
-"""Every name a `fairsaoml` module imports is used in that module.
+"""Every name a `fairsaoml` module imports is used in that module, and every
+function, class, method and property it defines is used somewhere in the package.
 
-No linter ships with the test dependencies, so this check walks each
+No linter ships with the test dependencies, so these checks walk each
 module's syntax tree: an imported name counts as used when it appears as a
-bare name anywhere in the code or inside a string annotation.
+bare name anywhere in the code or inside a string annotation, and a defined
+name counts as used when a bare name or an attribute of that name appears in
+any module outside its own definition.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import fairsaoml
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fairsaoml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -48,3 +53,50 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods and properties of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def dead_names(sources: dict, exempt=frozenset()) -> list:
+    """Defined names of `sources` (module name -> code) that no code outside
+    their own definition refers to; dunders and `exempt` names are skipped."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    refs = [(module, n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+            for module, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    dead = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__") or name in exempt:
+                continue
+            if not any(ref == name and not (m == module and
+                                            node.lineno <= line <= node.end_lineno)
+                       for m, line, ref in refs):
+                dead.append(f"{module}.{qualname} (line {node.lineno})")
+    return sorted(dead)
+
+
+def test_detects_dead_name():
+    sources = {"a": ("def used():\n    return 1\n\ndef recursive(n):\n"
+                     "    return recursive(n - 1)\n\nclass C:\n"
+                     "    def __init__(self):\n        self.x = used()\n"
+                     "    @property\n    def p(self):\n        return 1\n"),
+               "b": "from a import C\nC().q\n"}
+    # C is used by module b; p and recursive are referred to by nothing else
+    assert dead_names(sources) == ["a.C.p (line 11)", "a.recursive (line 4)"]
+    assert dead_names(sources, exempt={"p", "recursive"}) == []
+
+
+def test_no_dead_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_names(sources, exempt=set(fairsaoml.__all__)) == []

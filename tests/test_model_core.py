@@ -8,8 +8,7 @@ from fairsaoml.errors import (ConfigurationError, DegenerateGroupError,
 from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
                                   TaskBatch, estimate_p1, fairness_grad,
                                   fairness_inner_mean, fairness_value, loss,
-                                  loss_grad, loss_hessian, predict, scores,
-                                  split_batch)
+                                  loss_grad, split_batch)
 
 RNG = np.random.default_rng(7)
 
@@ -90,23 +89,6 @@ class TestLoss:
             g = loss_grad(th, b, spec)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
-    def test_hessian_matches_fd_of_grad(self):
-        spec = LossSpec(l2_coefficient=1e-3)
-        b = random_batch(seed=3)
-        th = RNG.standard_normal(b.dim) * 0.2
-        h = loss_hessian(th, b, spec)
-        for i in range(b.dim):
-            e = np.zeros(b.dim)
-            e[i] = 1e-6
-            col = (loss_grad(th + e, b, spec) - loss_grad(th - e, b, spec)) / 2e-6
-            assert np.allclose(h[:, i], col, atol=1e-5)
-
-    def test_predict_and_scores_agree(self):
-        b = random_batch()
-        th = RNG.standard_normal(b.dim)
-        z = scores(th, b)
-        for i in range(5):
-            assert predict(th, b.features[i]) == pytest.approx(z[i])
 
 
 class TestFairnessSurrogate:

@@ -7,7 +7,8 @@ from fairsaoml.optimizer import (Ball, ExpertTerm, LagrangianConfig,
                                  constraint_values, inner_adapt,
                                  interval_lagrangian,
                                  interval_lagrangian_theta_grad, meta_gradients,
-                                 meta_lagrangian, meta_update, project_ball)
+                                 meta_update, project_ball)
+from oracles import meta_lagrangian
 
 LOSS = LossSpec(l2_coefficient=1e-3)
 FAIR = (FairnessSpec("ddp", epsilon=0.05),)
@@ -70,7 +71,7 @@ class TestIntervalLagrangian:
             pair = ParamPair(rng.standard_normal(b.dim), np.abs(rng.standard_normal(1)))
             fd = central_diff(
                 lambda th: interval_lagrangian(ParamPair(th, pair.lam), b, LOSS, FAIR), pair.theta)
-            g = interval_lagrangian_theta_grad(pair, b, LOSS, FAIR)
+            g = interval_lagrangian_theta_grad(pair.theta, pair.lam, b, LOSS, FAIR)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
@@ -79,7 +80,7 @@ class TestInnerAdapt:
         b = random_batch(seed=3)
         meta = ParamPair(np.full(b.dim, 0.05), np.array([0.2]))
         out = inner_adapt(meta, b, LOSS, FAIR, eta=0.1, steps=1)
-        g = interval_lagrangian_theta_grad(meta, b, LOSS, FAIR)
+        g = interval_lagrangian_theta_grad(meta.theta, meta.lam, b, LOSS, FAIR)
         theta_expect = meta.theta - 0.1 * g
         assert np.allclose(out.theta, theta_expect)
         lam_expect = max(0.2 + 0.1 * fairness_value(theta_expect, b, FAIR[0]), 0.0)
@@ -164,27 +165,6 @@ class TestMetaObjective:
         g_theta, g_lambda = meta_gradients([sleeping], meta, b, LOSS, FAIR, cfg)
         assert np.all(g_theta == 0.0)
         assert g_lambda[0] == pytest.approx(-cfg.dual_damping * 0.5)
-
-    def test_full_jacobian_matches_fd_of_composite(self):
-        # one adaptation step on the same batch, in a region where the
-        # dual stays clamped at zero so only the primal path matters
-        b = random_batch(seed=11)
-        cfg = LagrangianConfig(delta=50.0, eta1=0.01, eta2=0.01,
-                               inner_steps=1, first_order=False)
-        eta = 0.05
-        meta = ParamPair(np.zeros(b.dim), np.array([0.0]))
-        assert fairness_value(meta.theta, b, FAIR[0]) < -1e-3
-
-        def composite(theta):
-            adapted = inner_adapt(ParamPair(theta, meta.lam), b, LOSS, FAIR, eta, 1)
-            assert adapted.lam[0] == 0.0
-            return loss(adapted.theta, b, LOSS)
-
-        adapted = inner_adapt(meta, b, LOSS, FAIR, eta, 1)
-        term = ExpertTerm(1.0, adapted, True, eta=eta)
-        g_theta, _ = meta_gradients([term], meta, b, LOSS, FAIR, cfg)
-        fd = central_diff(composite, meta.theta)
-        assert np.linalg.norm(g_theta - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
 
 
 class TestMetaUpdate:

@@ -28,9 +28,8 @@ class TestSpecs:
                        batch_size=10)
 
     def test_rounds_and_boundaries(self):
-        s = spec()
-        assert s.total_rounds == 5
-        assert s.boundaries() == [4]
+        stream = generate_stream(spec())
+        assert [b.round for b in stream] == [1, 2, 3, 4, 5]
 
 
 class TestGeneration:
