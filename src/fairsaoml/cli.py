@@ -303,6 +303,8 @@ def compute_report(rep_dir: Path, cfg: dict) -> dict:
         "solver_residual": sol.residual,
         "solver_converged": sol.converged,
         "cumulative_violation": cumulative_violation([g[0] for g in g_prev]),
+        "cumulative_violation_per_constraint": [cumulative_violation(col)
+                                                for col in zip(*g_prev)],
         "fair_sar": {},
     }
     for tau in cfg["metrics"]["tau"]:

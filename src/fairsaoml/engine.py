@@ -15,8 +15,8 @@ from .intervals import AGC, Interval, IntervalScheme, target_set
 from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, scores,
                          split_batch)
 from .metrics import demographic_parity, equalized_odds
-from .optimizer import (Ball, ExpertTerm, LagrangianConfig, constraint_values,
-                        inner_adapt, interval_lagrangian, meta_update)
+from .optimizer import (Ball, LagrangianConfig, constraint_values, inner_adapt,
+                        interval_lagrangian, meta_update)
 
 MODE_FAIRSAOML = "fairsaoml"
 MODE_SINGLE_EXPERT = "single_expert"
@@ -84,7 +84,7 @@ class RoundRecord:
     n_experts: int
     n_active: int
     max_weight: float
-    inner_adapt_calls: int
+    inner_adapt_calls: int     # expert adaptations: n_meta per active expert
     wall_ms: float
     theta_prev: np.ndarray
     theta_current: np.ndarray
@@ -156,31 +156,30 @@ class Engine:
         self._activate(t)
         weights = self._weights()
         experts = self.pool.experts
+        pool = list(experts.values())
+        awake = [exp for exp in pool if exp.active]
+        active = np.array([exp.active for exp in pool])
+        weight_vec = np.array([weights[key] for key in experts])
+        etas = np.array([exp.eta for exp in awake])
+        steps = 0 if cfg.ablation.disable_base_learner else cfg.lagrangian.inner_steps
 
-        inner_calls = 0
         for n in range(1, cfg.n_meta + 1):
             split_n = split_batch(batch, cfg.split.support_per_class,
                                   cfg.split.query_size, _split_seed(cfg.seed, t, n))
-            for exp in experts.values():
-                if not exp.active:
-                    continue
-                if cfg.ablation.disable_base_learner:
-                    exp.params = self.meta.copy()
-                else:
-                    exp.params = inner_adapt(self.meta, split_n.support, cfg.loss,
-                                             cfg.fairness, exp.eta,
-                                             cfg.lagrangian.inner_steps)
-                    inner_calls += 1
-            terms = [ExpertTerm(weight=weights[key], pair=exp.params, active=exp.active)
-                     for key, exp in experts.items()]
-            self.meta = meta_update(self.meta, terms, split_n.query, cfg.loss,
-                                    cfg.fairness, cfg.lagrangian, self.ball)
+            adapted = inner_adapt(self.meta, split_n.support, cfg.loss, cfg.fairness,
+                                  etas, steps)
+            self.meta = meta_update(self.meta, weight_vec, active, adapted, split_n.query,
+                                    cfg.loss, cfg.fairness, cfg.lagrangian, self.ball)
+        for exp, theta, lam in zip(awake, adapted.theta, adapted.lam):
+            exp.params = ParamPair(theta, lam)
 
-        meta_value = interval_lagrangian(self.meta, validation, cfg.loss, cfg.fairness)
-        for exp in experts.values():
-            expert_value = interval_lagrangian(exp.params, validation, cfg.loss, cfg.fairness)
+        # row 0 is the meta pair, then the pool in order
+        stacked = ParamPair(np.vstack([self.meta.theta] + [e.params.theta for e in pool]),
+                            np.vstack([self.meta.lam] + [e.params.lam for e in pool]))
+        values = interval_lagrangian(stacked, validation, cfg.loss, cfg.fairness).tolist()
+        for exp, expert_value in zip(pool, values[1:]):
             exp.r_stat, exp.c_stat = hedge.update_rc(
-                exp.r_stat, exp.c_stat, meta_value, expert_value)
+                exp.r_stat, exp.c_stat, values[0], expert_value)
 
         g_current = [float(v) for v in constraint_values(self.meta.theta, validation,
                                                          cfg.fairness)]
@@ -198,9 +197,9 @@ class Engine:
             theta_norm=float(np.linalg.norm(self.meta.theta)),
             lambda_values=[float(v) for v in self.meta.lam],
             n_experts=len(experts),
-            n_active=sum(1 for e in experts.values() if e.active),
+            n_active=len(awake),
             max_weight=max(weights.values()),
-            inner_adapt_calls=inner_calls,
+            inner_adapt_calls=cfg.n_meta * len(awake) if steps else 0,
             wall_ms=(time.perf_counter() - start) * 1e3,
             theta_prev=theta_prev,
             theta_current=self.meta.theta.copy(),

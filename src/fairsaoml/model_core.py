@@ -1,7 +1,8 @@
 """Data model, linear predictor, logistic loss, and group-fairness surrogates.
 
 All functions here are pure; batches and parameter pairs are treated as
-immutable once constructed.
+immutable once constructed. The model functions take one parameter row θ of
+shape (d,) or K rows of shape (K, d), and reduce over the last axis.
 """
 from __future__ import annotations
 
@@ -42,9 +43,6 @@ class TaskBatch:
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "protected", s)
-        # fairness weights depend only on labels and protected values, so a
-        # batch computes them once per fairness kind (see _fairness_terms)
-        object.__setattr__(self, "_fairness_cache", {})
 
     @property
     def size(self) -> int:
@@ -108,9 +106,9 @@ class LossSpec:
 
 def scores(theta: np.ndarray, batch: TaskBatch) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (batch.dim,):
+    if theta.shape[-1:] != (batch.dim,):
         raise ConfigurationError("dimension mismatch between theta and batch")
-    return batch.features @ theta
+    return theta @ batch.features.T
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -118,11 +116,11 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def loss(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> float:
-    """Mean logistic loss with an l2 ridge term."""
+def loss(theta: np.ndarray, batch: TaskBatch, spec: LossSpec):
+    """Mean logistic loss with an l2 ridge term, per row of theta."""
     z = scores(theta, batch)
-    data = float(np.mean(_log1pexp(-batch.labels * z)))
-    return data + 0.5 * spec.l2_coefficient * float(theta @ theta)
+    data = np.mean(_log1pexp(-batch.labels * z), axis=-1)
+    return data + 0.5 * spec.l2_coefficient * (theta * theta).sum(axis=-1)
 
 
 def loss_grad(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> np.ndarray:
@@ -148,37 +146,29 @@ def estimate_p1(batch: TaskBatch, kind: str) -> float:
     return p1
 
 
-def _fairness_terms(batch: TaskBatch, kind: str):
-    """Per-sample weights (zero outside the y=+1 subset for DEO) and their
-    weighted mean feature vector, computed once per batch and kind."""
-    cached = batch._fairness_cache.get(kind)
-    if cached is None:
-        p1 = estimate_p1(batch, kind)
-        w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
-        if kind == DEO:
-            w = np.where(batch.labels == 1, w, 0.0)
-        weighted_mean_feature = (w @ batch.features) / batch.size
-        w.flags.writeable = False
-        weighted_mean_feature.flags.writeable = False
-        cached = batch._fairness_cache[kind] = (w, weighted_mean_feature)
-    return cached
+def fairness_direction(batch: TaskBatch, kind: str) -> np.ndarray:
+    """The vector a with weighted mean score θ @ a: the mean feature under
+    per-sample group weights, which are zero outside the y=+1 subset for DEO."""
+    p1 = estimate_p1(batch, kind)
+    w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
+    if kind == DEO:
+        w = np.where(batch.labels == 1, w, 0.0)
+    return (w @ batch.features) / batch.size
 
 
-def fairness_inner_mean(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> float:
-    w, _ = _fairness_terms(batch, spec.kind)
-    # the sum and division np.mean does, without its per-call overhead
-    return float((w * scores(theta, batch)).sum()) / batch.size
+def fairness_inner_mean(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
+    return np.asarray(theta, dtype=float) @ fairness_direction(batch, spec.kind)
 
 
-def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> float:
+def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
     """Linear disparity surrogate: |weighted mean score| - epsilon."""
-    return abs(fairness_inner_mean(theta, batch, spec)) - spec.epsilon
+    return np.abs(fairness_inner_mean(theta, batch, spec)) - spec.epsilon
 
 
 def fairness_grad(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> np.ndarray:
     """Subgradient of the surrogate, with sign(0) := 0 at the kink."""
-    _, weighted_mean_feature = _fairness_terms(batch, spec.kind)
-    return np.sign(fairness_inner_mean(theta, batch, spec)) * weighted_mean_feature
+    a = fairness_direction(batch, spec.kind)
+    return np.multiply.outer(np.sign(np.asarray(theta, dtype=float) @ a), a)
 
 
 def split_batch(batch: TaskBatch, support_per_class: int, query_size: int,

@@ -1,4 +1,7 @@
-"""Primal-dual base learner, augmented meta objective, and projected meta update."""
+"""Primal-dual base learner, augmented meta objective, and projected meta update.
+
+The experts of a pool are adapted and combined as (K, d) array steps.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -45,77 +48,71 @@ def project_ball(theta: np.ndarray, ball: Ball) -> np.ndarray:
 
 def constraint_values(theta: np.ndarray, batch: TaskBatch,
                       fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
-    return np.array([fairness_value(theta, batch, fs) for fs in fairness_specs])
+    return np.stack([fairness_value(theta, batch, fs) for fs in fairness_specs], axis=-1)
 
 
 def interval_lagrangian(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
-                        fairness_specs: Sequence[FairnessSpec]) -> float:
+                        fairness_specs: Sequence[FairnessSpec]):
     g = constraint_values(pair.theta, batch, fairness_specs)
-    return loss(pair.theta, batch, loss_spec) + float(pair.lam @ g)
+    return loss(pair.theta, batch, loss_spec) + (pair.lam * g).sum(axis=-1)
 
 
 def interval_lagrangian_theta_grad(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch,
                                    loss_spec: LossSpec,
                                    fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
     grad = loss_grad(theta, batch, loss_spec)
-    for lam_i, fs in zip(lam, fairness_specs):
-        grad = grad + lam_i * fairness_grad(theta, batch, fs)
+    for i, fs in enumerate(fairness_specs):
+        grad = grad + lam[..., i, None] * fairness_grad(theta, batch, fs)
     return grad
 
 
 def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
-                fairness_specs: Sequence[FairnessSpec], eta: float, steps: int) -> ParamPair:
-    """Alternating primal-dual gradient steps of the interval Lagrangian.
+                fairness_specs: Sequence[FairnessSpec], etas: np.ndarray,
+                steps: int) -> ParamPair:
+    """Alternating primal-dual gradient steps of the interval Lagrangian, one
+    row per step size, every row starting from the meta pair.
 
     The dual step uses the constraint values at the fresh primal iterate and
     is floored at zero.
     """
-    theta = meta.theta.copy()
-    lam = meta.lam.copy()
+    etas = np.asarray(etas, dtype=float)[:, None]
+    theta = np.repeat(meta.theta[None], len(etas), axis=0)
+    lam = np.repeat(meta.lam[None], len(etas), axis=0)
     for _ in range(steps):
-        theta = theta - eta * interval_lagrangian_theta_grad(theta, lam, support, loss_spec,
-                                                              fairness_specs)
-        lam = np.maximum(lam + eta * constraint_values(theta, support, fairness_specs), 0.0)
+        theta = theta - etas * interval_lagrangian_theta_grad(theta, lam, support, loss_spec,
+                                                               fairness_specs)
+        lam = np.maximum(lam + etas * constraint_values(theta, support, fairness_specs), 0.0)
         if not (np.isfinite(theta).all() and np.isfinite(lam).all()):
             raise NumericalFailureError("non-finite iterate in inner adaptation")
     return ParamPair(theta, lam)
 
 
-@dataclass
-class ExpertTerm:
-    """One expert's contribution to the meta objective."""
-    weight: float
-    pair: ParamPair
-    active: bool
-
-
-def meta_gradients(terms: Sequence[ExpertTerm], meta: ParamPair, query: TaskBatch,
-                   loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec],
-                   config: LagrangianConfig):
+def meta_gradients(weights: np.ndarray, active: np.ndarray, adapted: ParamPair,
+                   meta: ParamPair, query: TaskBatch, loss_spec: LossSpec,
+                   fairness_specs: Sequence[FairnessSpec], config: LagrangianConfig):
     """Meta-level (grad_theta, grad_lambda) of the augmented objective.
 
-    Active experts are evaluated at their adapted parameters; sleeping
-    experts hold frozen primal terms and contribute to the dual gradient
-    only through the damping term at the meta dual.
+    `weights` and the boolean `active` mask cover the whole pool; `adapted`
+    holds one row per active expert, in pool order. Active experts are
+    evaluated at their adapted parameters; sleeping experts hold frozen
+    primal terms and contribute to the dual gradient only through the
+    damping term at the meta dual.
     """
-    g_theta = np.zeros(query.dim)
-    g_lambda = np.zeros(len(fairness_specs))
     damping = config.dual_damping
-    for term in terms:
-        if term.active:
-            g_theta += term.weight * interval_lagrangian_theta_grad(
-                term.pair.theta, term.pair.lam, query, loss_spec, fairness_specs)
-            g = constraint_values(term.pair.theta, query, fairness_specs)
-            g_lambda += term.weight * (g - damping * term.pair.lam)
-        else:
-            g_lambda += term.weight * (-damping * meta.lam)
+    w = weights[active]
+    g_theta = w @ interval_lagrangian_theta_grad(adapted.theta, adapted.lam, query,
+                                                 loss_spec, fairness_specs)
+    g = constraint_values(adapted.theta, query, fairness_specs)
+    g_lambda = w @ (g - damping * adapted.lam) - weights[~active].sum() * damping * meta.lam
     return g_theta, g_lambda
 
 
-def meta_update(meta: ParamPair, terms: Sequence[ExpertTerm], query: TaskBatch,
-                loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec],
-                config: LagrangianConfig, ball: Ball) -> ParamPair:
-    g_theta, g_lambda = meta_gradients(terms, meta, query, loss_spec, fairness_specs, config)
+def meta_update(meta: ParamPair, weights: np.ndarray, active: np.ndarray,
+                adapted: ParamPair, query: TaskBatch, loss_spec: LossSpec,
+                fairness_specs: Sequence[FairnessSpec], config: LagrangianConfig,
+                ball: Ball) -> ParamPair:
+    g_theta, g_lambda = meta_gradients(weights, active, adapted, meta, query, loss_spec,
+                                       fairness_specs, config)
     theta = project_ball(meta.theta - config.eta1 * g_theta, ball)
     lam = np.maximum(meta.lam + config.eta2 * g_lambda, 0.0)
     if not (np.isfinite(theta).all() and np.isfinite(lam).all()):

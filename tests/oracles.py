@@ -1,16 +1,22 @@
 """Reference implementations that tests compare the package against.
 
 Nothing in `fairsaoml` calls these: the interval family is enumerated and
-filtered by brute force, census counts come from closed forms, the meta
-objective is evaluated directly for finite differences, and the drift
-stream of the acceptance criteria is built from its specification.
+filtered by brute force, census counts come from closed forms, expert
+weights come from the closed-form potential, the meta objective is evaluated
+directly for finite differences, the meta gradients are summed expert by
+expert, and the drift stream of the acceptance criteria is built from its
+specification.
 """
+import math
 from typing import List, Sequence
+
+import numpy as np
 
 from fairsaoml.errors import ConfigurationError
 from fairsaoml.intervals import AGC, DI, Interval, IntervalScheme, TargetSet, ilog
-from fairsaoml.model_core import FairnessSpec, LossSpec, TaskBatch, loss
-from fairsaoml.optimizer import ExpertTerm, LagrangianConfig, constraint_values
+from fairsaoml.model_core import FairnessSpec, LossSpec, ParamPair, TaskBatch, loss
+from fairsaoml.optimizer import (LagrangianConfig, constraint_values,
+                                 interval_lagrangian_theta_grad)
 from fairsaoml.stream import EnvSpec, StreamSpec
 
 
@@ -85,20 +91,54 @@ def expected_census(scheme: IntervalScheme, t: int) -> dict:
     return {"total": total, "active_max": total}
 
 
-def meta_lagrangian(terms: Sequence[ExpertTerm], query: TaskBatch, loss_spec: LossSpec,
-                    fairness_specs: Sequence[FairnessSpec],
+def phi(r: float, c: float) -> float:
+    """exp([r]_+^2 / 3c), with the convention phi = 1 whenever [r]_+ = 0."""
+    rp = max(r, 0.0)
+    if rp == 0.0:
+        return 1.0
+    if c <= 0.0:
+        raise ConfigurationError("phi undefined for positive r with c <= 0")
+    return math.exp(rp * rp / (3.0 * c))
+
+
+def raw_weight(r: float, c: float) -> float:
+    """The raw weight ½(φ(r+1, c+1) − φ(r−1, c−1)) that `hedge.normalize` scales."""
+    return 0.5 * (phi(r + 1.0, c + 1.0) - phi(r - 1.0, c - 1.0))
+
+
+def meta_lagrangian(weights: Sequence[float], pairs: ParamPair, query: TaskBatch,
+                    loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec],
                     config: LagrangianConfig) -> float:
-    """The augmented meta objective whose gradients `meta_gradients` returns."""
+    """The augmented meta objective whose gradients `meta_gradients` returns,
+    over one row of `pairs` per weight."""
     c = 0.5 * config.dual_damping
     total = 0.0
-    for term in terms:
-        g = constraint_values(term.pair.theta, query, fairness_specs)
-        total += term.weight * (
-            loss(term.pair.theta, query, loss_spec)
-            + float(term.pair.lam @ g)
-            - c * float(term.pair.lam @ term.pair.lam)
-        )
+    for w, theta, lam in zip(weights, pairs.theta, pairs.lam):
+        g = constraint_values(theta, query, fairness_specs)
+        total += w * (loss(theta, query, loss_spec) + float(lam @ g) - c * float(lam @ lam))
     return total
+
+
+def meta_gradients_by_expert(weights: Sequence[float], active: Sequence[bool],
+                             adapted: ParamPair, meta: ParamPair, query: TaskBatch,
+                             loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec],
+                             config: LagrangianConfig):
+    """`optimizer.meta_gradients` as a loop over the pool: each active expert
+    takes the next row of `adapted`; a sleeping one adds only its damping term
+    at the meta dual."""
+    g_theta = np.zeros(query.dim)
+    g_lambda = np.zeros(len(fairness_specs))
+    damping = config.dual_damping
+    rows = iter(zip(adapted.theta, adapted.lam))
+    for w, is_active in zip(weights, active):
+        if is_active:
+            theta, lam = next(rows)
+            g_theta += w * interval_lagrangian_theta_grad(theta, lam, query, loss_spec,
+                                                          fairness_specs)
+            g_lambda += w * (constraint_values(theta, query, fairness_specs) - damping * lam)
+        else:
+            g_lambda += w * (-damping * meta.lam)
+    return g_theta, g_lambda
 
 
 def default_drift_spec(tasks_per_env: int, seed: int = 0,

@@ -20,12 +20,11 @@ from fairsaoml.metrics import (cumulative_violation, fair_sar_estimate,
 from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
                                   fairness_grad, fairness_inner_mean,
                                   fairness_value, loss, loss_grad)
-from fairsaoml.optimizer import (Ball, ExpertTerm, LagrangianConfig,
-                                 interval_lagrangian,
+from fairsaoml.optimizer import (Ball, LagrangianConfig, interval_lagrangian,
                                  interval_lagrangian_theta_grad, meta_gradients)
 from fairsaoml.stream import EnvSpec, StreamSpec, generate_stream
 from oracles import (default_drift_spec, enumerate_full_set, expected_census,
-                     intervals, meta_lagrangian)
+                     intervals, meta_lagrangian, phi, raw_weight)
 
 SEEDS = range(10)
 
@@ -129,8 +128,8 @@ def test_criterion_2_worked_examples():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_weight_invariants():
-    ok = hedge.phi(0.0, 0.0) == 1.0
-    ok = ok and abs(hedge.raw_weight(0.0, 0.0)
+    ok = phi(0.0, 0.0) == 1.0
+    ok = ok and abs(raw_weight(0.0, 0.0)
                     - 0.5 * (math.exp(1.0 / 3.0) - 1.0)) <= 1e-12
 
     rng = np.random.default_rng(3)
@@ -213,13 +212,12 @@ def test_criterion_4_gradient_correctness():
         weights = rng.dirichlet(np.ones(3))
 
         def meta_obj(th, lm):
-            terms = [ExpertTerm(weight=w, pair=ParamPair(th, lm), active=True)
-                     for w in weights]
-            return meta_lagrangian(terms, batch, loss_spec, specs, lconf)
+            rows = ParamPair(np.tile(th, (3, 1)), np.tile(lm, (3, 1)))
+            return meta_lagrangian(weights, rows, batch, loss_spec, specs, lconf)
 
-        terms = [ExpertTerm(weight=w, pair=pair, active=True) for w in weights]
-        g_theta, g_lambda = meta_gradients(terms, pair, batch, loss_spec, specs,
-                                           lconf)
+        rows = ParamPair(np.tile(theta, (3, 1)), np.tile(lam, (3, 1)))
+        g_theta, g_lambda = meta_gradients(weights, np.ones(3, dtype=bool), rows, pair,
+                                           batch, loss_spec, specs, lconf)
         checks.append((g_theta, _central_fd(lambda th: meta_obj(th, lam), theta)))
         checks.append((g_lambda, _central_fd(lambda lm: meta_obj(theta, lm), lam)))
 

@@ -180,6 +180,24 @@ class TestReport:
     def test_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--artifacts", str(tmp_path / "nope")]) == 2
 
+    def test_cumulative_violation_per_constraint(self, tmp_path):
+        path, _ = write_config(tmp_path, reps=1,
+                               fairness=[{"kind": "deo", "epsilon": 0.05},
+                                         {"kind": "ddp", "epsilon": 0.01}])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "regret.json").read_text())["2"]
+        with np.load(out / "rep2" / "trace.npz") as trace:
+            g_prev = trace["g_prev"]
+        per = report["cumulative_violation_per_constraint"]
+        assert len(per) == g_prev.shape[1] == 2
+        for entry, col in zip(per, g_prev.T):
+            assert entry["raw"] == pytest.approx(col.sum(), rel=1e-12, abs=1e-15)
+            assert entry["clipped"] == pytest.approx(np.clip(col, 0.0, None).sum(),
+                                                     rel=1e-12, abs=1e-15)
+        # the constraint-1 total keeps its own key
+        assert per[0] == report["cumulative_violation"]
+
     def test_echo_with_horizon_key(self, tmp_path):
         # older versions echoed the `horizon` and `first_order` keys; report ignores them
         path, _ = write_config(tmp_path, reps=1)

@@ -156,7 +156,7 @@ class TestFairnessSurrogate:
         assert fairness_value(th, b, spec) >= -spec.epsilon
 
     def test_weights_kept_per_kind_and_batch(self):
-        # weights are computed once per batch and kind; a second kind on the
+        # the weights belong to one batch and one kind; a second kind on the
         # same batch, or a subset batch, must not reuse them
         b = random_batch(seed=5)
         th = RNG.standard_normal(b.dim)
@@ -168,6 +168,17 @@ class TestFairnessSurrogate:
         fresh = TaskBatch(sub.features, sub.labels, sub.protected)
         assert fairness_inner_mean(th, sub, ddp) == fairness_inner_mean(th, fresh, ddp)
         assert np.array_equal(fairness_grad(th, sub, deo), fairness_grad(th, fresh, deo))
+
+    def test_rows_match_single_row_calls(self):
+        b = random_batch(seed=9)
+        thetas = np.random.default_rng(9).standard_normal((5, b.dim))
+        spec, fair = LossSpec(l2_coefficient=0.1), FairnessSpec("deo", 0.05)
+        for fn, s in ((loss, spec), (loss_grad, spec), (fairness_inner_mean, fair),
+                      (fairness_value, fair), (fairness_grad, fair)):
+            out = fn(thetas, b, s)
+            assert len(out) == 5
+            for row, theta in zip(out, thetas):
+                np.testing.assert_allclose(row, fn(theta, b, s), rtol=1e-13, atol=1e-15)
 
     def test_degenerate_batch_raises_on_every_call(self):
         b = TaskBatch(np.ones((3, 1)), [1, -1, 1], [1, 1, 1])

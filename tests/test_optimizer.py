@@ -3,15 +3,15 @@ import pytest
 
 from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
                                   fairness_value, loss, loss_grad)
-from fairsaoml.optimizer import (Ball, ExpertTerm, LagrangianConfig,
-                                 constraint_values, inner_adapt,
-                                 interval_lagrangian,
+from fairsaoml.optimizer import (Ball, LagrangianConfig, constraint_values,
+                                 inner_adapt, interval_lagrangian,
                                  interval_lagrangian_theta_grad, meta_gradients,
                                  meta_update, project_ball)
-from oracles import meta_lagrangian
+from oracles import meta_gradients_by_expert, meta_lagrangian
 
 LOSS = LossSpec(l2_coefficient=1e-3)
 FAIR = (FairnessSpec("ddp", epsilon=0.05),)
+TWO = (FairnessSpec("deo", epsilon=0.05), FairnessSpec("ddp", epsilon=0.02))
 
 
 def random_batch(n=40, d=4, seed=0):
@@ -22,6 +22,11 @@ def random_batch(n=40, d=4, seed=0):
     y[:2] = [-1, 1]
     s[:2] = [-1, 1]
     return TaskBatch(x, y, s)
+
+
+def rows(pair, k=1):
+    """`pair` repeated as k expert rows."""
+    return ParamPair(np.tile(pair.theta, (k, 1)), np.tile(pair.lam, (k, 1)))
 
 
 def central_diff(fn, v, h=1e-6):
@@ -79,33 +84,45 @@ class TestInnerAdapt:
     def test_one_step_hand_check(self):
         b = random_batch(seed=3)
         meta = ParamPair(np.full(b.dim, 0.05), np.array([0.2]))
-        out = inner_adapt(meta, b, LOSS, FAIR, eta=0.1, steps=1)
+        out = inner_adapt(meta, b, LOSS, FAIR, etas=[0.1], steps=1)
         g = interval_lagrangian_theta_grad(meta.theta, meta.lam, b, LOSS, FAIR)
         theta_expect = meta.theta - 0.1 * g
-        assert np.allclose(out.theta, theta_expect)
+        assert np.allclose(out.theta[0], theta_expect)
         lam_expect = max(0.2 + 0.1 * fairness_value(theta_expect, b, FAIR[0]), 0.0)
-        assert out.lam[0] == pytest.approx(lam_expect)
+        assert out.lam[0, 0] == pytest.approx(lam_expect)
 
     def test_dual_floored_at_zero(self):
         b = random_batch(seed=4)
         meta = ParamPair(np.zeros(b.dim), np.array([0.001]))
         # g(0) = -epsilon < 0, so a large eta drives lambda below zero pre-clip
-        out = inner_adapt(meta, b, LOSS, FAIR, eta=1.0, steps=1)
-        assert out.lam[0] == 0.0
+        out = inner_adapt(meta, b, LOSS, FAIR, etas=[1.0], steps=1)
+        assert out.lam[0, 0] == 0.0
 
     def test_does_not_mutate_meta(self):
         b = random_batch(seed=5)
         meta = ParamPair(np.full(b.dim, 0.05), np.array([0.3]))
-        inner_adapt(meta, b, LOSS, FAIR, eta=0.2, steps=3)
+        inner_adapt(meta, b, LOSS, FAIR, etas=[0.2, 0.4], steps=3)
         assert np.all(meta.theta == 0.05)
         assert meta.lam[0] == 0.3
 
     def test_more_steps_reduce_lagrangian(self):
         b = random_batch(seed=6)
         meta = ParamPair(np.full(b.dim, 0.3), np.array([0.0]))
-        one = inner_adapt(meta, b, LOSS, FAIR, eta=0.05, steps=1)
-        five = inner_adapt(meta, b, LOSS, FAIR, eta=0.05, steps=5)
-        assert interval_lagrangian(five, b, LOSS, FAIR) < interval_lagrangian(one, b, LOSS, FAIR)
+        one = inner_adapt(meta, b, LOSS, FAIR, etas=[0.05], steps=1)
+        five = inner_adapt(meta, b, LOSS, FAIR, etas=[0.05], steps=5)
+        before, after = (interval_lagrangian(p, b, LOSS, FAIR)[0] for p in (one, five))
+        assert after < before
+
+    def test_rows_match_one_row_calls(self):
+        b = random_batch(seed=15)
+        meta = ParamPair(np.full(b.dim, 0.05), np.array([0.2, 0.01]))
+        etas = np.array([0.4, 0.05, 1.3, 0.2])
+        out = inner_adapt(meta, b, LOSS, TWO, etas, steps=3)
+        assert out.theta.shape == (4, b.dim) and out.lam.shape == (4, 2)
+        for k, eta in enumerate(etas):
+            one = inner_adapt(meta, b, LOSS, TWO, [eta], steps=3)
+            np.testing.assert_allclose(out.theta[k], one.theta[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.lam[k], one.lam[0], rtol=0, atol=1e-12)
 
 
 class TestMetaObjective:
@@ -117,21 +134,22 @@ class TestMetaObjective:
         cfg = self.cfg()
         pairs = [ParamPair(np.full(b.dim, 0.1), np.array([0.2])),
                  ParamPair(np.full(b.dim, -0.1), np.array([0.4]))]
-        terms = [ExpertTerm(0.3, pairs[0], True), ExpertTerm(0.7, pairs[1], True)]
+        stacked = ParamPair(np.vstack([p.theta for p in pairs]),
+                            np.vstack([p.lam for p in pairs]))
         expect = 0.0
         for w, p in zip((0.3, 0.7), pairs):
             g = fairness_value(p.theta, b, FAIR[0])
             expect += w * (loss(p.theta, b, LOSS) + p.lam[0] * g
                            - 0.5 * cfg.dual_damping * p.lam[0] ** 2)
-        assert meta_lagrangian(terms, b, LOSS, FAIR, cfg) == pytest.approx(expect)
+        assert meta_lagrangian([0.3, 0.7], stacked, b, LOSS, FAIR, cfg) == pytest.approx(expect)
 
     def test_concave_in_lambda(self):
         b = random_batch(seed=8)
         cfg = self.cfg()
 
         def val(lam):
-            term = ExpertTerm(1.0, ParamPair(np.full(b.dim, 0.1), np.array([lam])), True)
-            return meta_lagrangian([term], b, LOSS, FAIR, cfg)
+            pair = ParamPair(np.full((1, b.dim), 0.1), np.array([[lam]]))
+            return meta_lagrangian([1.0], pair, b, LOSS, FAIR, cfg)
 
         # second difference negative with the damping term switched on
         h = 0.1
@@ -144,14 +162,13 @@ class TestMetaObjective:
         cfg = self.cfg()
         rng = np.random.default_rng(9)
         meta = ParamPair(rng.standard_normal(b.dim) * 0.2, np.array([0.3]))
+        weights = np.array([0.4, 0.6])
 
         def obj(theta, lam):
-            terms = [ExpertTerm(0.4, ParamPair(theta, lam), True),
-                     ExpertTerm(0.6, ParamPair(theta, lam), True)]
-            return meta_lagrangian(terms, b, LOSS, FAIR, cfg)
+            return meta_lagrangian(weights, rows(ParamPair(theta, lam), 2), b, LOSS, FAIR, cfg)
 
-        terms = [ExpertTerm(0.4, meta.copy(), True), ExpertTerm(0.6, meta.copy(), True)]
-        g_theta, g_lambda = meta_gradients(terms, meta, b, LOSS, FAIR, cfg)
+        g_theta, g_lambda = meta_gradients(weights, np.array([True, True]), rows(meta, 2),
+                                           meta, b, LOSS, FAIR, cfg)
         fd_theta = central_diff(lambda th: obj(th, meta.lam), meta.theta)
         fd_lambda = central_diff(lambda lm: obj(meta.theta, lm), meta.lam)
         assert np.linalg.norm(g_theta - fd_theta) <= 1e-5 * max(1.0, np.linalg.norm(fd_theta))
@@ -161,10 +178,26 @@ class TestMetaObjective:
         b = random_batch(seed=10)
         cfg = self.cfg()
         meta = ParamPair(np.full(b.dim, 0.1), np.array([0.5]))
-        sleeping = ExpertTerm(1.0, ParamPair(np.full(b.dim, 9.9), np.array([3.0])), False)
-        g_theta, g_lambda = meta_gradients([sleeping], meta, b, LOSS, FAIR, cfg)
+        no_rows = ParamPair(np.zeros((0, b.dim)), np.zeros((0, 1)))
+        g_theta, g_lambda = meta_gradients(np.array([1.0]), np.array([False]), no_rows,
+                                           meta, b, LOSS, FAIR, cfg)
         assert np.all(g_theta == 0.0)
         assert g_lambda[0] == pytest.approx(-cfg.dual_damping * 0.5)
+
+    def test_matches_per_expert_loop(self):
+        # distinct support and query batches, two constraints and three inner
+        # steps, with sleeping experts between the active ones
+        support, query = random_batch(seed=16), random_batch(seed=17)
+        cfg = LagrangianConfig(delta=5.0, eta1=0.02, eta2=0.03, inner_steps=3)
+        meta = ParamPair(np.array([0.1, -0.2, 0.05, 0.3]), np.array([0.4, 0.1]))
+        weights = np.array([0.1, 0.25, 0.05, 0.3, 0.2, 0.1])
+        active = np.array([True, False, True, True, False, True])
+        adapted = inner_adapt(meta, support, LOSS, TWO, [0.5, 0.2, 0.9, 0.05],
+                              cfg.inner_steps)
+        got = meta_gradients(weights, active, adapted, meta, query, LOSS, TWO, cfg)
+        want = meta_gradients_by_expert(weights, active, adapted, meta, query, LOSS, TWO, cfg)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 class TestMetaUpdate:
@@ -173,8 +206,9 @@ class TestMetaUpdate:
         cfg = LagrangianConfig(delta=50.0, eta1=5.0, eta2=5.0)
         ball = Ball(0.05)
         meta = ParamPair(np.full(b.dim, 0.02), np.array([0.001]))
-        adapted = inner_adapt(meta, b, LOSS, FAIR, 0.01, 1)
-        out = meta_update(meta, [ExpertTerm(1.0, adapted, True)], b, LOSS, FAIR, cfg, ball)
+        adapted = inner_adapt(meta, b, LOSS, FAIR, [0.01], 1)
+        out = meta_update(meta, np.array([1.0]), np.array([True]), adapted, b, LOSS, FAIR,
+                          cfg, ball)
         assert np.linalg.norm(out.theta) <= ball.radius + 1e-12
         assert np.all(out.lam >= 0.0)
 
@@ -183,10 +217,10 @@ class TestMetaUpdate:
         b = random_batch(seed=13)
         cfg = LagrangianConfig(delta=50.0, eta1=0.01, eta2=1.0)
         meta = ParamPair(np.zeros(b.dim), np.array([0.01]))
-        term = ExpertTerm(1.0, meta.copy(), True)
-        g_theta, g_lambda = meta_gradients([term], meta, b, LOSS, FAIR, cfg)
+        weights, active = np.array([1.0]), np.array([True])
+        g_theta, g_lambda = meta_gradients(weights, active, rows(meta), meta, b, LOSS, FAIR, cfg)
         assert meta.lam[0] + cfg.eta2 * g_lambda[0] < 0.0
-        out = meta_update(meta, [term], b, LOSS, FAIR, cfg, Ball(0.05))
+        out = meta_update(meta, weights, active, rows(meta), b, LOSS, FAIR, cfg, Ball(0.05))
         assert out.lam[0] == 0.0
 
     def test_primal_descends_weighted_objective(self):
@@ -194,8 +228,8 @@ class TestMetaUpdate:
         cfg = LagrangianConfig(delta=50.0, eta1=0.005, eta2=0.005)
         rng = np.random.default_rng(14)
         meta = ParamPair(rng.standard_normal(b.dim) * 0.02, np.array([0.0]))
-        term = ExpertTerm(1.0, meta.copy(), True)
-        out = meta_update(meta, [term], b, LOSS, FAIR, cfg, Ball(1.0))
+        out = meta_update(meta, np.array([1.0]), np.array([True]), rows(meta), b, LOSS, FAIR,
+                          cfg, Ball(1.0))
         before = loss(meta.theta, b, LOSS)
         after = loss(out.theta, b, LOSS)
         assert after < before
