@@ -12,6 +12,7 @@ from typing import List, Optional
 import jsonschema
 import numpy as np
 
+from . import __version__
 from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
                      RoundRecord, RunConfig, SplitSizes, run)
 from .errors import ConfigurationError, IngestionError, NumericalFailureError
@@ -374,7 +375,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         "files": (["metrics.csv", "regret.json", "config-echo.json", "manifest.json"]
                   + [f"rep{s}/rounds.csv" for s in seeds]
                   + [f"rep{s}/trace.npz" for s in seeds]),
-        "version": "0.1.0",
+        "version": __version__,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

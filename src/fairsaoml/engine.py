@@ -3,16 +3,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import hedge
 from .errors import ConfigurationError, NumericalFailureError
-from .experts import (ExpertPool, ExpertState, GradientBoundConsts, stepsize,
-                      update_g_bound)
-from .intervals import AGC, Interval, IntervalScheme, target_set
-from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, scores,
+from .experts import ExpertPool, GradientBoundConsts, update_g_bound
+from .intervals import AGC, Interval, IntervalScheme, TargetSet, target_set
+from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, loss, scores,
                          split_batch)
 from .metrics import demographic_parity, equalized_odds
 from .optimizer import (Ball, LagrangianConfig, constraint_values, inner_adapt,
@@ -64,12 +63,6 @@ class RunConfig:
 
 
 @dataclass
-class ExpertRecord:
-    interval: Interval
-    weight: float
-
-
-@dataclass
 class RoundRecord:
     t: int
     val_loss: float
@@ -78,7 +71,8 @@ class RoundRecord:
     eo: Optional[float]
     g_prev: List[float]        # constraint values of theta_{t-1}
     g_current: List[float]     # constraint values of theta_t
-    experts: List[ExpertRecord]
+    weights: np.ndarray        # (K,) expert weights, in the pool's order of length
+    intervals: np.ndarray      # (K, 2) each expert's [start, end]
     theta_norm: float
     lambda_values: List[float]
     n_experts: int
@@ -97,11 +91,10 @@ def _split_seed(seed: int, t: int, n: int) -> int:
 
 def _telemetry(theta: np.ndarray, validation: TaskBatch, loss_spec: LossSpec,
                fairness: Sequence[FairnessSpec]):
-    from .model_core import loss as loss_fn
     z = scores(theta, validation)
     preds = np.where(z >= 0.0, 1, -1)
     return (
-        loss_fn(theta, validation, loss_spec),
+        loss(theta, validation, loss_spec),
         float(np.mean(preds == validation.labels)),
         demographic_parity(preds, validation.protected),
         equalized_odds(preds, validation.labels, validation.protected),
@@ -121,26 +114,24 @@ class Engine:
         rng = np.random.default_rng(config.seed)
         lam0 = rng.uniform(0.0, 0.01, size=len(config.fairness))
         self.meta = ParamPair(np.zeros(dim), lam0)
-        self.pool = ExpertPool(scheme=config.scheme)
+        self.pool = ExpertPool(config.scheme, dim, len(config.fairness))
 
     def _activate(self, t: int):
         cfg = self.config
         if cfg.mode == MODE_SINGLE_EXPERT:
             # one expert over [1, T], awake throughout, with round 1's step size
-            if not self.pool.experts:
-                iv = Interval(1, self.total_rounds)
-                self.pool.experts[iv.length] = ExpertState(
-                    interval=iv, params=self.meta.copy(),
-                    eta=stepsize(iv.length, self.bounds), active=True)
+            if t > 1:
+                return
+            target = TargetSet(1, ((self.total_rounds, Interval(1, self.total_rounds)),))
         else:
-            self.pool.activate(t, target_set(cfg.scheme, t), self.meta, self.bounds)
+            target = target_set(cfg.scheme, t)
+        self.pool.activate(t, target, self.bounds)
 
-    def _weights(self) -> Dict[int, float]:
+    def _weights(self) -> np.ndarray:
         cfg = self.config
         if cfg.ablation.disable_weights or cfg.ablation.disable_base_learner:
-            u = 1.0 / len(self.pool.experts)
-            return {key: u for key in self.pool.experts}
-        return hedge.normalize(self.pool.rc_stats())
+            return np.full(len(self.pool.lengths), 1.0 / len(self.pool.lengths))
+        return hedge.normalize(self.pool.r, self.pool.c)
 
     def round(self, t: int, batch: TaskBatch) -> RoundRecord:
         cfg = self.config
@@ -155,12 +146,9 @@ class Engine:
 
         self._activate(t)
         weights = self._weights()
-        experts = self.pool.experts
-        pool = list(experts.values())
-        awake = [exp for exp in pool if exp.active]
-        active = np.array([exp.active for exp in pool])
-        weight_vec = np.array([weights[key] for key in experts])
-        etas = np.array([exp.eta for exp in awake])
+        pool = self.pool
+        active = pool.active
+        etas = pool.eta[active]
         steps = 0 if cfg.ablation.disable_base_learner else cfg.lagrangian.inner_steps
 
         for n in range(1, cfg.n_meta + 1):
@@ -168,23 +156,20 @@ class Engine:
                                   cfg.split.query_size, _split_seed(cfg.seed, t, n))
             adapted = inner_adapt(self.meta, split_n.support, cfg.loss, cfg.fairness,
                                   etas, steps)
-            self.meta = meta_update(self.meta, weight_vec, active, adapted, split_n.query,
+            self.meta = meta_update(self.meta, weights, active, adapted, split_n.query,
                                     cfg.loss, cfg.fairness, cfg.lagrangian, self.ball)
-        for exp, theta, lam in zip(awake, adapted.theta, adapted.lam):
-            exp.params = ParamPair(theta, lam)
+        pool.theta[active] = adapted.theta
+        pool.lam[active] = adapted.lam
 
         # row 0 is the meta pair, then the pool in order
-        stacked = ParamPair(np.vstack([self.meta.theta] + [e.params.theta for e in pool]),
-                            np.vstack([self.meta.lam] + [e.params.lam for e in pool]))
-        values = interval_lagrangian(stacked, validation, cfg.loss, cfg.fairness).tolist()
-        for exp, expert_value in zip(pool, values[1:]):
-            exp.r_stat, exp.c_stat = hedge.update_rc(
-                exp.r_stat, exp.c_stat, values[0], expert_value)
+        stacked = ParamPair(np.vstack([self.meta.theta, pool.theta]),
+                            np.vstack([self.meta.lam, pool.lam]))
+        values = interval_lagrangian(stacked, validation, cfg.loss, cfg.fairness)
+        pool.r, pool.c = hedge.update_rc(pool.r, pool.c, values[0], values[1:])
 
         g_current = [float(v) for v in constraint_values(self.meta.theta, validation,
                                                          cfg.fairness)]
-        expert_records = [ExpertRecord(interval=exp.interval, weight=weights[key])
-                          for key, exp in sorted(experts.items())]
+        n_active = int(active.sum())
         return RoundRecord(
             t=t,
             val_loss=val_loss,
@@ -193,13 +178,14 @@ class Engine:
             eo=eo,
             g_prev=g_prev,
             g_current=g_current,
-            experts=expert_records,
+            weights=weights,
+            intervals=np.stack([pool.starts, pool.ends], axis=1),
             theta_norm=float(np.linalg.norm(self.meta.theta)),
             lambda_values=[float(v) for v in self.meta.lam],
-            n_experts=len(experts),
-            n_active=len(awake),
-            max_weight=max(weights.values()),
-            inner_adapt_calls=cfg.n_meta * len(awake) if steps else 0,
+            n_experts=len(pool.lengths),
+            n_active=n_active,
+            max_weight=float(weights.max()),
+            inner_adapt_calls=cfg.n_meta * n_active if steps else 0,
             wall_ms=(time.perf_counter() - start) * 1e3,
             theta_prev=theta_prev,
             theta_current=self.meta.theta.copy(),

@@ -1,18 +1,20 @@
 """Expert universe: activation subroutines, replacement, and activity bookkeeping.
 
-The pool is keyed by interval length — activation replaces at most one
-predecessor per length, which keeps the census at the closed-form counts
-for every scheme.
+The pool holds one row per nominal interval length, in ascending order of
+length — activation replaces at most one predecessor per length, which keeps
+the census at the closed-form counts for every scheme.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .errors import InternalConsistencyError
 from .intervals import AGC, DI, Interval, IntervalScheme, TargetSet
-from .model_core import ParamPair, TaskBatch
+from .model_core import TaskBatch
 
 
 @dataclass(frozen=True)
@@ -21,66 +23,75 @@ class GradientBoundConsts:
     g_bound: float
 
 
-def stepsize(length: int, bounds: GradientBoundConsts) -> float:
-    return bounds.s_radius / (bounds.g_bound * math.sqrt(length))
+def stepsize(length, bounds: GradientBoundConsts):
+    """η for one nominal length or an array of them."""
+    return bounds.s_radius / (bounds.g_bound * np.sqrt(length))
 
 
 def update_g_bound(bounds: GradientBoundConsts, batch: TaskBatch) -> GradientBoundConsts:
     """Running max over the dimension term and observed feature norms."""
-    max_norm = float(max((batch.features ** 2).sum(axis=1)) ** 0.5)
+    max_norm = float((batch.features ** 2).sum(axis=1).max() ** 0.5)
     floor = math.sqrt(batch.dim) + bounds.s_radius
     return GradientBoundConsts(bounds.s_radius,
                                max(bounds.g_bound, floor, max_norm))
 
 
-@dataclass
-class ExpertState:
-    interval: Interval
-    params: ParamPair
-    eta: float
-    r_stat: float = 0.0
-    c_stat: float = 0.0
-    active: bool = False
-
-
-@dataclass
 class ExpertPool:
-    scheme: IntervalScheme
-    experts: Dict[int, ExpertState] = field(default_factory=dict)  # keyed by length
+    """Every expert's interval, step size, confidence statistics (R, C), awake
+    flag and parameter pair, one row per expert."""
 
-    def activate(self, t: int, target: TargetSet, meta: ParamPair,
+    def __init__(self, scheme: Optional[IntervalScheme], dim: int, n_constraints: int):
+        self.scheme = scheme
+        self.lengths = np.zeros(0, dtype=int)
+        self.starts = np.zeros(0, dtype=int)
+        self.ends = np.zeros(0, dtype=int)
+        self.eta = np.zeros(0)
+        self.r = np.zeros(0)
+        self.c = np.zeros(0)
+        self.active = np.zeros(0, dtype=bool)
+        self.theta = np.zeros((0, dim))
+        self.lam = np.zeros((0, n_constraints))
+
+    def activate(self, t: int, target: TargetSet,
                  bounds: GradientBoundConsts) -> List[Tuple[Interval, bool]]:
         """Run the scheme's activation subroutine for every target interval.
 
-        Step sizes use the nominal length, so AGC truncation leaves η unchanged.
-        Returns (interval, inherited_rc) per activated expert.
+        Restarted rows inherit (R, C) from their predecessor — DI's from the
+        row one shorter, AGC/DGC's from the row of the same length — and start
+        from zero without one. Step sizes use the nominal length, so AGC
+        truncation leaves η unchanged. A restarted row's parameters are left
+        for the caller to set. Returns (interval, inherited_rc) per activated
+        expert, in ascending order of length.
         """
         if target.round != t:
             raise InternalConsistencyError("target set round does not match t")
-        snapshot = dict(self.experts)
-        report = []
-        for length, iv in sorted(target.members, reverse=True):
-            if self.scheme.kind == DI:
-                pred = snapshot.get(length - 1)
-            else:
-                pred = snapshot.get(length)
-                if self.scheme.kind == AGC and pred is None and snapshot:
-                    raise InternalConsistencyError(
-                        f"AGC expected a length-{length} predecessor at t={t}")
-            r, c = (pred.r_stat, pred.c_stat) if pred is not None else (0.0, 0.0)
-            self.experts[length] = ExpertState(
-                interval=iv,
-                params=meta.copy(),
-                eta=stepsize(length, bounds),
-                r_stat=r,
-                c_stat=c,
-                active=True,
-            )
-            report.append((iv, pred is not None))
-        restarted = {length for length, _ in target.members}
-        for length, exp in self.experts.items():
-            exp.active = length in restarted
-        return report
+        members = sorted(target.members)
+        lengths = np.array([length for length, _ in members])
+        kind = self.scheme.kind if self.scheme is not None else None
+        pred = lengths - 1 if kind == DI else lengths
+        at = np.searchsorted(self.lengths, pred)
+        inherited = at < len(self.lengths)
+        inherited[inherited] = self.lengths[at[inherited]] == pred[inherited]
+        if kind == AGC and len(self.lengths) and not inherited.all():
+            raise InternalConsistencyError(
+                f"AGC expected a length-{lengths[~inherited][0]} predecessor at t={t}")
+        r, c = np.zeros(len(lengths)), np.zeros(len(lengths))
+        r[inherited], c[inherited] = self.r[at[inherited]], self.c[at[inherited]]
 
-    def rc_stats(self) -> Dict[int, Tuple[float, float]]:
-        return {length: (e.r_stat, e.c_stat) for length, e in self.experts.items()}
+        grown = np.union1d(self.lengths, lengths)
+        if len(grown) > len(self.lengths):
+            old = np.searchsorted(grown, self.lengths)
+            for name in ("starts", "ends", "eta", "r", "c", "active", "theta", "lam"):
+                before = getattr(self, name)
+                after = np.zeros((len(grown),) + before.shape[1:], dtype=before.dtype)
+                after[old] = before
+                setattr(self, name, after)
+            self.lengths = grown
+        rows = np.searchsorted(grown, lengths)
+        self.starts[rows] = [iv.start for _, iv in members]
+        self.ends[rows] = [iv.end for _, iv in members]
+        self.eta[rows] = stepsize(lengths, bounds)
+        self.r[rows], self.c[rows] = r, c
+        self.active[:] = False
+        self.active[rows] = True
+        return [(iv, bool(inh)) for (_, iv), inh in zip(members, inherited)]

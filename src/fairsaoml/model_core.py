@@ -76,9 +76,6 @@ class ParamPair:
         if (self.lam < 0).any():
             raise ConfigurationError("dual vector must be entrywise nonnegative")
 
-    def copy(self) -> "ParamPair":
-        return ParamPair(self.theta, self.lam)  # __post_init__ copies
-
 
 @dataclass(frozen=True)
 class FairnessSpec:

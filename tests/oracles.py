@@ -1,18 +1,21 @@
 """Reference implementations that tests compare the package against.
 
 Nothing in `fairsaoml` calls these: the interval family is enumerated and
-filtered by brute force, census counts come from closed forms, expert
-weights come from the closed-form potential, the meta objective is evaluated
+filtered by brute force, census counts come from closed forms, the expert
+pool is a dict of per-expert records keyed by length, expert weights come
+from the closed-form potential, the meta objective is evaluated
 directly for finite differences, the meta gradients are summed expert by
 expert, and the drift stream of the acceptance criteria is built from its
 specification.
 """
 import math
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from fairsaoml.errors import ConfigurationError
+from fairsaoml.errors import ConfigurationError, InternalConsistencyError
+from fairsaoml.experts import GradientBoundConsts
 from fairsaoml.intervals import AGC, DI, Interval, IntervalScheme, TargetSet, ilog
 from fairsaoml.model_core import FairnessSpec, LossSpec, ParamPair, TaskBatch, loss
 from fairsaoml.optimizer import (LagrangianConfig, constraint_values,
@@ -89,6 +92,51 @@ def expected_census(scheme: IntervalScheme, t: int) -> dict:
     else:
         total = ilog(scheme.base, t) + 1
     return {"total": total, "active_max": total}
+
+
+@dataclass
+class ExpertState:
+    interval: Interval
+    eta: float
+    r_stat: float = 0.0
+    c_stat: float = 0.0
+    active: bool = False
+
+
+@dataclass
+class DictExpertPool:
+    """`experts.ExpertPool` as one record per expert, keyed by nominal length."""
+
+    scheme: IntervalScheme
+    experts: Dict[int, ExpertState] = field(default_factory=dict)
+
+    def activate(self, t: int, target: TargetSet,
+                 bounds: GradientBoundConsts) -> List[Tuple[Interval, bool]]:
+        if target.round != t:
+            raise InternalConsistencyError("target set round does not match t")
+        snapshot = dict(self.experts)
+        report = []
+        for length, iv in sorted(target.members, reverse=True):
+            if self.scheme.kind == DI:
+                pred = snapshot.get(length - 1)
+            else:
+                pred = snapshot.get(length)
+                if self.scheme.kind == AGC and pred is None and snapshot:
+                    raise InternalConsistencyError(
+                        f"AGC expected a length-{length} predecessor at t={t}")
+            r, c = (pred.r_stat, pred.c_stat) if pred is not None else (0.0, 0.0)
+            self.experts[length] = ExpertState(
+                interval=iv,
+                eta=bounds.s_radius / (bounds.g_bound * math.sqrt(length)),
+                r_stat=r,
+                c_stat=c,
+                active=True,
+            )
+            report.append((iv, pred is not None))
+        restarted = {length for length, _ in target.members}
+        for length, exp in self.experts.items():
+            exp.active = length in restarted
+        return report
 
 
 def phi(r: float, c: float) -> float:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fairsaoml import cli
+from fairsaoml import __version__, cli
 from fairsaoml.engine import run
 from fairsaoml.intervals import IntervalScheme
 from oracles import expected_census
@@ -47,6 +47,7 @@ class TestRun:
         for seed in (2, 3):
             assert (out / f"rep{seed}" / "rounds.csv").exists()
             assert (out / f"rep{seed}" / "trace.npz").exists()
+        assert json.loads((out / "manifest.json").read_text())["version"] == __version__
 
     def test_rounds_csv_contract(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -282,7 +283,7 @@ class TestErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
 
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, monkeypatch):
-        def overflow(stats):
+        def overflow(r, c):
             raise OverflowError("math range error")
         monkeypatch.setattr("fairsaoml.hedge.normalize", overflow)
         path, _ = write_config(tmp_path, reps=1)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairsaoml.engine import (AblationFlags, MODE_SINGLE_EXPERT, RunConfig,
+from fairsaoml import engine
+from fairsaoml.engine import (AblationFlags, MODE_SINGLE_EXPERT, Engine, RunConfig,
                               SplitSizes, run)
 from fairsaoml.errors import ConfigurationError
 from fairsaoml.intervals import IntervalScheme, target_set
@@ -105,8 +106,8 @@ class TestAccounting:
     def test_weights_sum_to_one(self):
         records = run(make_config("di"), make_stream(8))
         for rec in records:
-            assert sum(e.weight for e in rec.experts) == pytest.approx(1.0)
-            assert rec.max_weight == pytest.approx(max(e.weight for e in rec.experts))
+            assert rec.weights.sum() == pytest.approx(1.0)
+            assert rec.max_weight == pytest.approx(rec.weights.max())
 
 
 class TestModesAndAblations:
@@ -117,8 +118,7 @@ class TestModesAndAblations:
             assert rec.n_experts == 1
             assert rec.n_active == 1
             assert rec.max_weight == 1.0
-            assert rec.experts[0].interval.start == 1
-            assert rec.experts[0].interval.end == 8
+            assert rec.intervals.tolist() == [[1, 8]]
 
     def test_single_expert_mode_without_scheme(self):
         cfg = make_config(None, mode=MODE_SINGLE_EXPERT)
@@ -131,7 +131,7 @@ class TestModesAndAblations:
                       make_stream(8))
         for rec in records:
             u = 1.0 / rec.n_experts
-            assert all(e.weight == pytest.approx(u) for e in rec.experts)
+            assert rec.weights == pytest.approx(np.full(rec.n_experts, u))
 
     def test_disable_base_learner_freezes_adaptation(self):
         cfg = make_config("dgc")
@@ -153,3 +153,49 @@ class TestLearning:
         for rec in records:
             assert rec.validation.size > 0
             assert rec.theta_prev.shape == rec.theta_current.shape
+
+
+class TestPoolState:
+    def test_sleeping_rows_frozen_and_awake_rows_adapted(self, monkeypatch):
+        inner_adapt, last = engine.inner_adapt, {}
+
+        def recording_inner_adapt(*args):
+            last["adapted"] = inner_adapt(*args)
+            return last["adapted"]
+
+        monkeypatch.setattr(engine, "inner_adapt", recording_inner_adapt)
+        cfg = make_config("agc", horizon=8, n_meta=2)
+        stream = make_stream(8)
+        eng = Engine(cfg, total_rounds=8, dim=stream[0].dim)
+        slept = 0
+        for t, batch in enumerate(stream, start=1):
+            before = {int(n): (th.copy(), lm.copy()) for n, th, lm in
+                      zip(eng.pool.lengths, eng.pool.theta, eng.pool.lam)}
+            eng.round(t, batch)
+            pool = eng.pool
+            assert np.array_equal(pool.theta[pool.active], last["adapted"].theta)
+            assert np.array_equal(pool.lam[pool.active], last["adapted"].lam)
+            for n, th, lm in zip(pool.lengths[~pool.active], pool.theta[~pool.active],
+                                 pool.lam[~pool.active]):
+                assert np.array_equal(th, before[int(n)][0])
+                assert np.array_equal(lm, before[int(n)][1])
+                slept += 1
+        assert slept > 0
+
+    @pytest.mark.parametrize("kind,horizon", [("di", None), ("agc", 8), ("dgc", None)])
+    def test_records_do_not_alias_pool_state(self, kind, horizon):
+        # DI grows the pool every round; AGC and DGC mostly update it in place
+        stream = make_stream(8)
+        eng = Engine(make_config(kind, horizon=horizon), total_rounds=8,
+                     dim=stream[0].dim)
+        kept = []
+        for t, batch in enumerate(stream, start=1):
+            rec = eng.round(t, batch)
+            # every earlier record is unchanged by the rounds after it
+            for old, (weights, intervals, theta_prev, theta) in kept:
+                assert np.array_equal(old.weights, weights)
+                assert np.array_equal(old.intervals, intervals)
+                assert np.array_equal(old.theta_prev, theta_prev)
+                assert np.array_equal(old.theta_current, theta)
+            kept.append((rec, (rec.weights.copy(), rec.intervals.copy(),
+                               rec.theta_prev.copy(), rec.theta_current.copy())))

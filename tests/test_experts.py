@@ -7,12 +7,8 @@ from fairsaoml.errors import InternalConsistencyError
 from fairsaoml.experts import (ExpertPool, GradientBoundConsts, stepsize,
                                update_g_bound)
 from fairsaoml.intervals import Interval, IntervalScheme, target_set
-from fairsaoml.model_core import ParamPair, TaskBatch
-from oracles import expected_census
-
-
-def meta(d=3):
-    return ParamPair(np.zeros(d), np.array([0.0]))
+from fairsaoml.model_core import TaskBatch
+from oracles import DictExpertPool, expected_census
 
 
 # the engine's starting bounds at epsilon = 0.05, d = 3: radius sqrt(1 + 2 eps) - 1
@@ -21,12 +17,22 @@ BOUNDS = GradientBoundConsts(S_RADIUS, math.sqrt(3) + S_RADIUS)
 
 
 def make_pool(kind, horizon=None, base=2):
-    return ExpertPool(scheme=IntervalScheme(kind, horizon=horizon, base=base))
+    return ExpertPool(IntervalScheme(kind, horizon=horizon, base=base), dim=3,
+                      n_constraints=1)
 
 
 def drive(pool, up_to):
     for t in range(1, up_to + 1):
-        pool.activate(t, target_set(pool.scheme, t), meta(), BOUNDS)
+        pool.activate(t, target_set(pool.scheme, t), BOUNDS)
+
+
+def row(pool, length):
+    return int(np.searchsorted(pool.lengths, length))
+
+
+def interval(pool, length):
+    i = row(pool, length)
+    return Interval(int(pool.starts[i]), int(pool.ends[i]))
 
 
 class TestBounds:
@@ -49,90 +55,116 @@ class TestCensus:
     def test_matches_closed_form(self, kind, horizon):
         pool = make_pool(kind, horizon)
         for t in range(1, 19):
-            pool.activate(t, target_set(pool.scheme, t), meta(), BOUNDS)
+            pool.activate(t, target_set(pool.scheme, t), BOUNDS)
             census = expected_census(pool.scheme, t)
-            assert len(pool.experts) == census["total"]
-            active = [e for e in pool.experts.values() if e.active]
+            assert len(pool.lengths) == census["total"]
             # one restart per subset; truncation can merge their intervals
             restarted = {length for length, _ in target_set(pool.scheme, t).members}
-            assert len(active) == len(restarted)
+            assert pool.active.sum() == len(restarted)
+            assert set(pool.lengths[pool.active]) == restarted
 
     def test_agc_reference_counts_at_t5(self):
         pool = make_pool("agc", horizon=18)
         drive(pool, 5)
-        active = [e for e in pool.experts.values() if e.active]
-        sleeping = [e for e in pool.experts.values() if not e.active]
-        assert len(active) == 3
-        assert len(sleeping) == 1
-        assert sleeping[0].interval == Interval(1, 8)
+        assert pool.active.sum() == 3
+        assert (~pool.active).sum() == 1
+        assert interval(pool, 8) == Interval(1, 8)
+        assert not pool.active[row(pool, 8)]
+
+    def test_rows_ascend_by_length(self):
+        pool = make_pool("agc", horizon=18)
+        drive(pool, 1)
+        assert pool.lengths.tolist() == [1, 2, 4, 8]
 
 
 class TestInheritance:
     def test_di_inherits_from_shorter(self):
         pool = make_pool("di")
         drive(pool, 3)
-        pool.experts[2].r_stat, pool.experts[2].c_stat = 0.7, 0.9
-        pool.activate(4, target_set(pool.scheme, 4), meta(), BOUNDS)
+        pool.r[row(pool, 2)], pool.c[row(pool, 2)] = 0.7, 0.9
+        pool.activate(4, target_set(pool.scheme, 4), BOUNDS)
         # the length-3 expert at t=4 ([2,4]) takes over the old length-2 stats
-        assert pool.experts[3].r_stat == 0.7
-        assert pool.experts[3].c_stat == 0.9
+        assert pool.r[row(pool, 3)] == 0.7
+        assert pool.c[row(pool, 3)] == 0.9
         # the fresh suffix [4,4] starts clean at length 1 from length 0
-        assert pool.experts[1].r_stat == 0.0
+        assert pool.r[row(pool, 1)] == 0.0
 
     def test_agc_inherits_same_length(self):
         pool = make_pool("agc", horizon=18)
         drive(pool, 4)
-        pool.experts[4].r_stat, pool.experts[4].c_stat = 0.3, 0.4
-        pool.activate(5, target_set(pool.scheme, 5), meta(), BOUNDS)
-        assert pool.experts[4].interval == Interval(5, 8)
-        assert (pool.experts[4].r_stat, pool.experts[4].c_stat) == (0.3, 0.4)
+        pool.r[row(pool, 4)], pool.c[row(pool, 4)] = 0.3, 0.4
+        pool.activate(5, target_set(pool.scheme, 5), BOUNDS)
+        assert interval(pool, 4) == Interval(5, 8)
+        assert (pool.r[row(pool, 4)], pool.c[row(pool, 4)]) == (0.3, 0.4)
 
     def test_agc_missing_predecessor_raises(self):
         pool = make_pool("agc", horizon=18)
         drive(pool, 2)
-        del pool.experts[2]
-        with pytest.raises(InternalConsistencyError):
-            pool.activate(3, target_set(pool.scheme, 3), meta(), BOUNDS)
+        keep = pool.lengths != 2
+        pool.lengths, pool.r, pool.c = pool.lengths[keep], pool.r[keep], pool.c[keep]
+        with pytest.raises(InternalConsistencyError, match="length-2"):
+            pool.activate(3, target_set(pool.scheme, 3), BOUNDS)
 
     def test_dgc_starts_clean_without_predecessor(self):
         pool = make_pool("dgc")
         drive(pool, 1)
-        pool.experts[1].r_stat = 0.5
-        pool.activate(2, target_set(pool.scheme, 2), meta(), BOUNDS)
-        assert pool.experts[1].r_stat == 0.5   # length-1 chain continues
-        assert pool.experts[2].r_stat == 0.0   # first length-2 expert is fresh
+        pool.r[row(pool, 1)] = 0.5
+        report = pool.activate(2, target_set(pool.scheme, 2), BOUNDS)
+        assert pool.r[row(pool, 1)] == 0.5   # length-1 chain continues
+        assert pool.r[row(pool, 2)] == 0.0   # first length-2 expert is fresh
+        assert report == [(Interval(2, 2), True), (Interval(2, 3), False)]
 
     def test_wrong_round_rejected(self):
         pool = make_pool("dgc")
         with pytest.raises(InternalConsistencyError):
-            pool.activate(2, target_set(pool.scheme, 1), meta(), BOUNDS)
+            pool.activate(2, target_set(pool.scheme, 1), BOUNDS)
 
 
 class TestActivation:
-    def test_restart_copies_meta(self):
-        pool = make_pool("dgc")
-        m = ParamPair(np.array([0.01, 0.02, 0.0]), np.array([0.5]))
-        pool.activate(1, target_set(pool.scheme, 1), m, BOUNDS)
-        exp = pool.experts[1]
-        assert np.array_equal(exp.params.theta, m.theta)
-        m.theta[0] = 9.0
-        assert exp.params.theta[0] == 0.01  # independent copy
-
     def test_eta_uses_nominal_length(self):
         pool = make_pool("agc", horizon=18)
         drive(pool, 17)
         # [17,18] is the truncated tail of the length-8 subset
-        exp = pool.experts[8]
-        assert exp.interval == Interval(17, 18)
+        assert interval(pool, 8) == Interval(17, 18)
         b = BOUNDS
-        assert exp.eta == pytest.approx(b.s_radius / (b.g_bound * math.sqrt(8)))
+        assert pool.eta[row(pool, 8)] == pytest.approx(b.s_radius / (b.g_bound * math.sqrt(8)))
 
     def test_sleeping_params_frozen(self):
         pool = make_pool("agc", horizon=18)
-        m1 = ParamPair(np.array([0.01, 0.0, 0.0]), np.array([0.0]))
-        pool.activate(1, target_set(pool.scheme, 1), m1, BOUNDS)
-        stored = pool.experts[8].params.theta.copy()
-        m2 = ParamPair(np.array([0.02, 0.0, 0.0]), np.array([0.0]))
-        pool.activate(2, target_set(pool.scheme, 2), m2, BOUNDS)  # length 8 not in C_2
-        assert not pool.experts[8].active
-        assert np.array_equal(pool.experts[8].params.theta, stored)
+        drive(pool, 1)
+        pool.theta[:] = np.arange(4)[:, None]
+        pool.activate(2, target_set(pool.scheme, 2), BOUNDS)  # length 8 not in C_2
+        assert not pool.active[row(pool, 8)]
+        assert np.array_equal(pool.theta[row(pool, 8)], [3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("kind,horizon,base", [
+    ("di", None, 2),
+    ("agc", 40, 2), ("agc", 40, 3),
+    ("dgc", None, 2), ("dgc", None, 3),
+])
+def test_matches_dict_pool_oracle(kind, horizon, base):
+    """Both pools under the same activations, bounds and random R/C
+    increments agree row by row for 40 rounds."""
+    scheme = IntervalScheme(kind, horizon=horizon, base=base)
+    pool = ExpertPool(scheme, dim=3, n_constraints=1)
+    oracle = DictExpertPool(scheme)
+    rng = np.random.default_rng(7)
+    for t in range(1, 41):
+        # a growing gradient bound gives each round's restarts a new η
+        bounds = GradientBoundConsts(S_RADIUS, BOUNDS.g_bound + 0.1 * t)
+        report = pool.activate(t, target_set(scheme, t), bounds)
+        # the oracle reports in descending order of length
+        assert report == oracle.activate(t, target_set(scheme, t), bounds)[::-1]
+        experts = [oracle.experts[length] for length in sorted(oracle.experts)]
+        assert pool.lengths.tolist() == sorted(oracle.experts)
+        assert [(int(s), int(e)) for s, e in zip(pool.starts, pool.ends)] == \
+            [(e.interval.start, e.interval.end) for e in experts]
+        assert pool.active.tolist() == [e.active for e in experts]
+        assert pool.eta.tolist() == [e.eta for e in experts]
+        assert pool.r.tolist() == [e.r_stat for e in experts]
+        assert pool.c.tolist() == [e.c_stat for e in experts]
+        delta = rng.uniform(-1.0, 1.0, size=len(experts))
+        pool.r, pool.c = pool.r + delta, pool.c + np.abs(delta)
+        for e, d in zip(experts, delta):
+            e.r_stat, e.c_stat = e.r_stat + d, e.c_stat + abs(d)

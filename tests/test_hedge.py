@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -39,45 +40,55 @@ class TestRawWeight:
         assert raw_weight(3.0, 5.0) > raw_weight(1.0, 5.0)
 
 
+def weights(pairs):
+    """`hedge.normalize` over a list of (R, C) pairs."""
+    r, c = zip(*pairs)
+    return hedge.normalize(np.array(r), np.array(c))
+
+
 class TestNormalize:
     def test_hand_example(self):
-        w = hedge.normalize({"a": (0.0, 0.0), "b": (2.0, 2.0), "c": (-2.0, 2.0)})
+        w = weights([(0.0, 0.0), (2.0, 2.0), (-2.0, 2.0)])
         total = 0.5 * (math.exp(1.0 / 3.0) - 1.0) + 0.5 * (math.e - math.exp(1.0 / 3.0))
-        assert w["a"] == pytest.approx(0.5 * (math.exp(1.0 / 3.0) - 1.0) / total)
-        assert w["b"] == pytest.approx(0.5 * (math.e - math.exp(1.0 / 3.0)) / total)
-        assert w["c"] == pytest.approx(0.0, abs=1e-15)
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
+        assert w[0] == pytest.approx(0.5 * (math.exp(1.0 / 3.0) - 1.0) / total)
+        assert w[1] == pytest.approx(0.5 * (math.e - math.exp(1.0 / 3.0)) / total)
+        assert w[2] == pytest.approx(0.0, abs=1e-15)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_fallback(self):
-        w = hedge.normalize({i: (-5.0, 5.0) for i in range(4)})
-        assert all(v == 0.25 for v in w.values())
+        w = weights([(-5.0, 5.0)] * 4)
+        assert all(v == 0.25 for v in w)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
-            hedge.normalize({})
+            hedge.normalize(np.zeros(0), np.zeros(0))
+
+    def test_positive_r_with_nonpositive_c_rejected(self):
+        # unreachable while |R| <= C holds
+        with pytest.raises(ConfigurationError):
+            weights([(0.0, 0.0), (1.5, 0.5)])
 
     @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(0, 40)),
                     min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_sums_to_one(self, pairs):
-        stats = {i: (min(r, c), c) for i, (r, c) in enumerate(pairs)}
-        w = hedge.normalize(stats)
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(v >= 0.0 for v in w.values())
+        w = weights([(min(r, c), c) for r, c in pairs])
+        assert w.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (w >= 0.0).all()
 
     def test_large_statistics_do_not_overflow(self):
         # exp(2201^2 / 6603) overflows a float; its share of the pool does not
-        w = hedge.normalize({1: (2200.0, 2200.0), 2: (0.0, 0.0)})
-        assert w[1] == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= w[2] < 1e-300
+        w = weights([(2200.0, 2200.0), (0.0, 0.0)])
+        assert w[0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= w[1] < 1e-300
 
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1e6)),
                     min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_finite_for_any_statistics(self, pairs):
-        w = hedge.normalize({i: (f * c, c) for i, (f, c) in enumerate(pairs)})
-        assert all(math.isfinite(v) and v >= 0.0 for v in w.values())
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
+        w = weights([(f * c, c) for f, c in pairs])
+        assert np.isfinite(w).all() and (w >= 0.0).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 50.0)),
                     min_size=1, max_size=8))
@@ -85,35 +96,37 @@ class TestNormalize:
     def test_matches_closed_form(self, pairs):
         # the closed form subtracts two potentials and loses up to ~1e-12 to
         # cancellation near r = -1; the log form does not
-        stats = {i: (f * c, c) for i, (f, c) in enumerate(pairs)}
-        raw = {i: raw_weight(r, c) for i, (r, c) in stats.items()}
-        total = sum(raw.values())
+        stats = [(f * c, c) for f, c in pairs]
+        raw = [raw_weight(r, c) for r, c in stats]
+        total = sum(raw)
         # the two forms may round to opposite sides of the fallback threshold
         assume(abs(total / hedge.ZERO_TOTAL_THRESHOLD - 1.0) > 1e-6)
-        w = hedge.normalize(stats)
-        for i in stats:
+        w = weights(stats)
+        for i in range(len(stats)):
             expect = raw[i] / total if total >= hedge.ZERO_TOTAL_THRESHOLD else 1 / len(raw)
             assert w[i] == pytest.approx(expect, abs=1e-11)
 
 
 class TestUpdateRc:
     def test_accumulates_gap(self):
-        r, c = hedge.update_rc(1.0, 2.0, meta_value=0.7, expert_value=0.4)
-        assert r == pytest.approx(1.3)
-        assert c == pytest.approx(2.3)
+        r, c = hedge.update_rc(np.array([1.0, 0.0]), np.array([2.0, 1.0]),
+                               meta_value=0.7, expert_values=np.array([0.4, 0.9]))
+        assert r == pytest.approx([1.3, -0.2])
+        assert c == pytest.approx([2.3, 1.2])
 
     def test_nonfinite_raises(self):
+        zeros = np.zeros(2)
         with pytest.raises(NumericalFailureError):
-            hedge.update_rc(0.0, 0.0, float("nan"), 1.0)
+            hedge.update_rc(zeros, zeros, float("nan"), np.ones(2))
         with pytest.raises(NumericalFailureError):
-            hedge.update_rc(0.0, 0.0, 1.0, float("inf"))
+            hedge.update_rc(zeros, zeros, 1.0, np.array([1.0, float("inf")]))
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), max_size=200))
     @settings(max_examples=500, deadline=None)
     def test_invariant_abs_r_le_c(self, seq):
-        r, c = 0.0, 0.0
+        r, c = np.zeros(1), np.zeros(1)
         for meta_v, exp_v in seq:
-            r, c = hedge.update_rc(r, c, meta_v, exp_v)
-            assert abs(r) <= c + 1e-9
+            r, c = hedge.update_rc(r, c, meta_v, np.array([exp_v]))
+            assert abs(r[0]) <= c[0] + 1e-9
         # weights stay computable along the way
-        hedge.normalize({0: (r, c)})
+        hedge.normalize(r, c)
