@@ -16,7 +16,7 @@ from . import __version__
 from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
                      RoundRecord, RunConfig, SplitSizes, run)
 from .errors import ConfigurationError, IngestionError, NumericalFailureError
-from .intervals import AGC, IntervalScheme
+from .intervals import IntervalScheme
 from .metrics import (cumulative_violation, eighty_percent_check,
                       fair_sar_estimate, static_regret)
 from .model_core import FairnessSpec, LossSpec, TaskBatch
@@ -215,12 +215,10 @@ def build_batches(cfg: dict) -> List[TaskBatch]:
     return generate_stream(build_stream_spec(cfg))
 
 
-def build_run_config(cfg: dict, seed: int, rounds: int) -> RunConfig:
-    """One repetition's RunConfig over `rounds` batches, which are AGC's horizon."""
-    scheme = IntervalScheme(cfg["scheme"], horizon=rounds if cfg["scheme"] == AGC else None,
-                            base=cfg["base"])
+def build_run_config(cfg: dict, seed: int) -> RunConfig:
+    """One repetition's RunConfig."""
     return RunConfig(
-        scheme=scheme,
+        scheme=IntervalScheme(cfg["scheme"], base=cfg["base"]),
         n_meta=cfg["n_meta"],
         lagrangian=LagrangianConfig(delta=cfg["delta"], eta1=cfg["eta1"],
                                     eta2=cfg["eta2"], inner_steps=cfg["inner_steps"]),
@@ -296,7 +294,7 @@ def _read_rounds_csv(path: Path) -> List[dict]:
 
 def compute_report(rep_dir: Path, cfg: dict) -> dict:
     thetas, batches, g_prev = read_trace(rep_dir / "trace.npz")
-    run_cfg = build_run_config(cfg, cfg["seed"], len(batches))
+    run_cfg = build_run_config(cfg, cfg["seed"])
     loss_spec, ball = run_cfg.loss, Ball(run_cfg.radius())
     regret, sol = static_regret(thetas, batches, loss_spec, ball)
     report = {
@@ -363,7 +361,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     for seed in seeds:
         rep_dir = out_dir / f"rep{seed}"
         rep_dir.mkdir(parents=True, exist_ok=True)
-        records = run(build_run_config(cfg, seed, len(batches)), batches)
+        records = run(build_run_config(cfg, seed), batches)
         write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
         write_trace(records, rep_dir / "trace.npz")
     write_report(out_dir, cfg, seeds)

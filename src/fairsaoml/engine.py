@@ -10,7 +10,7 @@ import numpy as np
 from . import hedge
 from .errors import ConfigurationError, NumericalFailureError
 from .experts import ExpertPool, GradientBoundConsts, update_g_bound
-from .intervals import AGC, Interval, IntervalScheme, TargetSet, target_set
+from .intervals import AGC, IntervalScheme, target_set
 from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, loss, scores,
                          split_batch)
 from .metrics import demographic_parity, equalized_odds
@@ -106,6 +106,11 @@ class Engine:
     """Executes the learning protocol over a stream of task batches."""
 
     def __init__(self, config: RunConfig, total_rounds: int, dim: int):
+        scheme = config.scheme
+        if config.mode == MODE_FAIRSAOML and scheme.kind == AGC and total_rounds < scheme.base:
+            raise ConfigurationError(
+                f"AGC with base {scheme.base} needs at least {scheme.base} batches, "
+                f"got {total_rounds}")
         self.config = config
         self.total_rounds = total_rounds
         self.ball = Ball(config.radius())
@@ -122,9 +127,10 @@ class Engine:
             # one expert over [1, T], awake throughout, with round 1's step size
             if t > 1:
                 return
-            target = TargetSet(1, ((self.total_rounds, Interval(1, self.total_rounds)),))
+            T = self.total_rounds
+            target = (np.array([T]), np.array([1]), np.array([T]))
         else:
-            target = target_set(cfg.scheme, t)
+            target = target_set(cfg.scheme, t, self.total_rounds)
         self.pool.activate(t, target, self.bounds)
 
     def _weights(self) -> np.ndarray:
@@ -197,10 +203,6 @@ def run(config: RunConfig, stream: Sequence[TaskBatch]) -> List[RoundRecord]:
     """Execute the full protocol; one record per round."""
     if not stream:
         raise ConfigurationError("stream must yield at least one batch")
-    if config.mode == MODE_FAIRSAOML and config.scheme.kind == AGC:
-        if len(stream) != config.scheme.horizon:
-            raise ConfigurationError(
-                f"AGC horizon T={config.scheme.horizon} but stream has {len(stream)} batches")
     engine = Engine(config, total_rounds=len(stream), dim=stream[0].dim)
     records: List[RoundRecord] = []
     for t, batch in enumerate(stream, start=1):

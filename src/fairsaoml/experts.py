@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .intervals import AGC, DI, Interval, IntervalScheme, TargetSet
+from .intervals import AGC, DI, IntervalScheme
 from .model_core import TaskBatch
 
 
@@ -52,21 +52,18 @@ class ExpertPool:
         self.theta = np.zeros((0, dim))
         self.lam = np.zeros((0, n_constraints))
 
-    def activate(self, t: int, target: TargetSet,
-                 bounds: GradientBoundConsts) -> List[Tuple[Interval, bool]]:
-        """Run the scheme's activation subroutine for every target interval.
+    def activate(self, t: int, target, bounds: GradientBoundConsts) -> np.ndarray:
+        """Run the scheme's activation subroutine for every interval of the
+        target set (lengths, starts, ends), given in ascending order of length.
 
         Restarted rows inherit (R, C) from their predecessor — DI's from the
         row one shorter, AGC/DGC's from the row of the same length — and start
         from zero without one. Step sizes use the nominal length, so AGC
         truncation leaves η unchanged. A restarted row's parameters are left
-        for the caller to set. Returns (interval, inherited_rc) per activated
-        expert, in ascending order of length.
+        for the caller to set. Returns one (length, inherited_rc) row per
+        activated expert.
         """
-        if target.round != t:
-            raise InternalConsistencyError("target set round does not match t")
-        members = sorted(target.members)
-        lengths = np.array([length for length, _ in members])
+        lengths, starts, ends = target
         kind = self.scheme.kind if self.scheme is not None else None
         pred = lengths - 1 if kind == DI else lengths
         at = np.searchsorted(self.lengths, pred)
@@ -88,10 +85,9 @@ class ExpertPool:
                 setattr(self, name, after)
             self.lengths = grown
         rows = np.searchsorted(grown, lengths)
-        self.starts[rows] = [iv.start for _, iv in members]
-        self.ends[rows] = [iv.end for _, iv in members]
+        self.starts[rows], self.ends[rows] = starts, ends
         self.eta[rows] = stepsize(lengths, bounds)
         self.r[rows], self.c[rows] = r, c
         self.active[:] = False
         self.active[rows] = True
-        return [(iv, bool(inh)) for (_, iv), inh in zip(members, inherited)]
+        return np.stack([lengths, inherited], axis=1)

@@ -10,7 +10,8 @@ from .errors import ConfigurationError
 from .model_core import LossSpec, TaskBatch, loss
 from .optimizer import Ball, project_ball
 
-DEFAULT_SOLVER_TOL = 1e-8
+SOLVER_TOL = 1e-8
+SOLVER_MAX_ITER = 20000
 EXHAUSTIVE_WINDOW_LIMIT = 256
 
 
@@ -66,8 +67,8 @@ class SolverResult:
     iterations: int
 
 
-def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec, ball: Ball,
-                      tol: float = DEFAULT_SOLVER_TOL, max_iter: int = 20000) -> SolverResult:
+def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec,
+                      ball: Ball) -> SolverResult:
     """Projected gradient descent on the summed loss over the ball.
 
     Uses spectral (Barzilai-Borwein) steps with a monotone fallback; the
@@ -95,11 +96,11 @@ def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec, ball: B
     g = grad(theta)
     step = step0
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, SOLVER_MAX_ITER + 1):
         theta_new = project_ball(theta - step * g, ball)
         g_new = grad(theta_new)
         residual = float(np.linalg.norm(theta - project_ball(theta - step0 * g, ball)) / step0)
-        if residual <= tol:
+        if residual <= SOLVER_TOL:
             break
         dx = theta_new - theta
         dg = g_new - g
@@ -108,17 +109,16 @@ def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec, ball: B
         step = min(max(step, 1e-3 * step0), 1e6 * step0)
         theta, g = theta_new, g_new
     residual = float(np.linalg.norm(theta - project_ball(theta - step0 * grad(theta), ball)) / step0)
-    return SolverResult(theta=theta, residual=residual, converged=residual <= tol,
+    return SolverResult(theta=theta, residual=residual, converged=residual <= SOLVER_TOL,
                         iterations=it)
 
 
 def static_regret(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
-                  loss_spec: LossSpec, ball: Ball,
-                  tol: float = DEFAULT_SOLVER_TOL) -> Tuple[float, SolverResult]:
+                  loss_spec: LossSpec, ball: Ball) -> Tuple[float, SolverResult]:
     """Cumulative loss gap against the best fixed parameter in hindsight."""
     if len(thetas) != len(batches):
         raise ConfigurationError("one parameter per batch required")
-    sol = offline_minimizer(batches, loss_spec, ball, tol=tol)
+    sol = offline_minimizer(batches, loss_spec, ball)
     algo = sum(loss(th, b, loss_spec) for th, b in zip(thetas, batches))
     best = sum(loss(sol.theta, b, loss_spec) for b in batches)
     return algo - best, sol
@@ -144,8 +144,7 @@ class RegretReport:
 
 def fair_sar_estimate(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
                       g_values: Sequence[Sequence[float]], loss_spec: LossSpec,
-                      ball: Ball, tau: int, stride: Optional[int] = None,
-                      tol: float = DEFAULT_SOLVER_TOL) -> RegretReport:
+                      ball: Ball, tau: int, stride: Optional[int] = None) -> RegretReport:
     """Max windowed loss regret and constraint sums over length-tau windows."""
     T = len(batches)
     if tau > T:
@@ -162,7 +161,7 @@ def fair_sar_estimate(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch]
         starts.append(T - tau)
     for s in starts:
         sl = slice(s, s + tau)
-        regret, sol = static_regret(thetas[sl], batches[sl], loss_spec, ball, tol=tol)
+        regret, sol = static_regret(thetas[sl], batches[sl], loss_spec, ball)
         windows.append(WindowResult(
             start=s + 1,
             loss_regret=regret,
@@ -175,7 +174,7 @@ def fair_sar_estimate(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch]
         windows=windows,
         max_loss_regret=max(wd.loss_regret for wd in windows),
         max_constraint_sums=[max(wd.constraint_sums[i] for wd in windows) for i in range(m)],
-        approximate=any(wd.solver_residual > tol for wd in windows),
+        approximate=any(wd.solver_residual > SOLVER_TOL for wd in windows),
     )
 
 

@@ -87,6 +87,10 @@ class CsvSchema:
     batch_size: Optional[int] = None  # used when round_column is None
     mapping: Optional[Dict[str, int]] = None  # raw value -> {-1, +1}
 
+    def __post_init__(self):
+        if self.round_column is None and self.batch_size is None:
+            raise ConfigurationError("a CSV without a round column needs a batch_size")
+
     def map_value(self, raw: str, row_no: int, column: str) -> int:
         table = self.mapping or {"-1": -1, "1": 1, "+1": 1}
         if raw not in table:
@@ -97,14 +101,10 @@ class CsvSchema:
         return v
 
 
-def save_csv(stream: Sequence[TaskBatch], path: str,
-             schema: Optional[CsvSchema] = None) -> None:
-    d = stream[0].dim
-    feature_cols = (schema.feature_columns if schema is not None
-                    else tuple(f"f{i}" for i in range(d)))
+def save_csv(stream: Sequence[TaskBatch], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(feature_cols) + ["s", "y", "t"])
+        writer.writerow([f"f{i}" for i in range(stream[0].dim)] + ["s", "y", "t"])
         for batch in stream:
             for i in range(batch.size):
                 row = [CSV_FLOAT_FORMAT % v for v in batch.features[i]]

@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the package against.
 
-Nothing in `fairsaoml` calls these: the interval family is enumerated and
-filtered by brute force, census counts come from closed forms, the expert
+Nothing in `fairsaoml` calls these: the interval family is enumerated as
+(start, end) tuples with inclusive ends and filtered by brute force, census counts come from closed forms, the expert
 pool is a dict of per-expert records keyed by length, expert weights come
 from the closed-form potential, the meta objective is evaluated
 directly for finite differences, the meta gradients are summed expert by
@@ -16,27 +16,31 @@ import numpy as np
 
 from fairsaoml.errors import ConfigurationError, InternalConsistencyError
 from fairsaoml.experts import GradientBoundConsts
-from fairsaoml.intervals import AGC, DI, Interval, IntervalScheme, TargetSet, ilog
+from fairsaoml.intervals import AGC, DI, IntervalScheme, ilog
 from fairsaoml.model_core import FairnessSpec, LossSpec, ParamPair, TaskBatch, loss
 from fairsaoml.optimizer import (LagrangianConfig, constraint_values,
                                  interval_lagrangian_theta_grad)
 from fairsaoml.stream import EnvSpec, StreamSpec
 
 
+Interval = Tuple[int, int]  # (start, end), end inclusive
+
+
 def contains(iv: Interval, t: int) -> bool:
-    return iv.start <= t <= iv.end
+    return iv[0] <= t <= iv[1]
 
 
-def intervals(target: TargetSet) -> tuple:
-    """The unique intervals of a target set, sorted."""
-    return tuple(sorted(set(iv for _, iv in target.members)))
+def intervals(target) -> tuple:
+    """The unique (start, end) intervals of a target set (lengths, starts, ends), sorted."""
+    _, starts, ends = target
+    return tuple(sorted(set(zip(starts.tolist(), ends.tolist()))))
 
 
 def enumerate_full_set(scheme: IntervalScheme, up_to: int) -> List[Interval]:
     """All intervals of the family that intersect [1, up_to].
 
-    For DI the family is horizon-dependent; it is enumerated with the
-    horizon taken as up_to.
+    For DI and AGC the family is horizon-dependent; it is enumerated with
+    the horizon taken as up_to.
     """
     if up_to < 1:
         raise ConfigurationError("up_to must be >= 1")
@@ -45,20 +49,20 @@ def enumerate_full_set(scheme: IntervalScheme, up_to: int) -> List[Interval]:
     if scheme.kind == DI:
         for k in range(1, up_to + 1):
             for q in range(k, up_to + 1):
-                out.append(Interval(k, q))
+                out.append((k, q))
     elif scheme.kind == AGC:
-        T = scheme.horizon
+        T = up_to
         for k in range(ilog(b, T)):
             i = 1
-            while (i - 1) * b ** k + 1 <= min(T, up_to):
-                out.append(Interval((i - 1) * b ** k + 1, min(T, i * b ** k)))
+            while (i - 1) * b ** k + 1 <= T:
+                out.append(((i - 1) * b ** k + 1, min(T, i * b ** k)))
                 i += 1
     else:  # DGC
         k = 0
         while b ** k <= up_to:
             i = 1
             while i * b ** k <= up_to:
-                out.append(Interval(i * b ** k, (i + 1) * b ** k - 1))
+                out.append((i * b ** k, (i + 1) * b ** k - 1))
                 i += 1
             k += 1
     return out
@@ -69,26 +73,26 @@ def brute_force_target_set(scheme: IntervalScheme, t: int, up_to: int) -> tuple:
 
     AGC/DGC select intervals containing t but not t-1; DI selects the
     intervals ending at t. Returns the sorted unique intervals, comparable
-    with `intervals(target_set(scheme, t))`.
+    with `intervals(target_set(scheme, t, up_to))`.
     """
     if t > up_to:
         raise ConfigurationError("t must be <= up_to")
     full = enumerate_full_set(scheme, up_to)
     if scheme.kind == DI:
-        picked = [iv for iv in full if iv.end == t]
+        picked = [iv for iv in full if iv[1] == t]
     else:
         picked = [iv for iv in full if contains(iv, t) and not contains(iv, t - 1)]
     return tuple(sorted(set(picked)))
 
 
-def expected_census(scheme: IntervalScheme, t: int) -> dict:
-    """Total and maximum-active expert counts at round t."""
+def expected_census(scheme: IntervalScheme, t: int, rounds: int) -> dict:
+    """Total and maximum-active expert counts at round t of a `rounds`-round run."""
     if t < 1:
         raise ConfigurationError("t must be >= 1")
     if scheme.kind == DI:
         total = t
     elif scheme.kind == AGC:
-        total = ilog(scheme.base, scheme.horizon)
+        total = ilog(scheme.base, rounds)
     else:
         total = ilog(scheme.base, t) + 1
     return {"total": total, "active_max": total}
@@ -110,13 +114,13 @@ class DictExpertPool:
     scheme: IntervalScheme
     experts: Dict[int, ExpertState] = field(default_factory=dict)
 
-    def activate(self, t: int, target: TargetSet,
-                 bounds: GradientBoundConsts) -> List[Tuple[Interval, bool]]:
-        if target.round != t:
-            raise InternalConsistencyError("target set round does not match t")
+    def activate(self, t: int, target,
+                 bounds: GradientBoundConsts) -> List[Tuple[int, bool]]:
+        """Returns (length, inherited_rc) per activated expert, longest first."""
         snapshot = dict(self.experts)
+        members = sorted(zip(*(a.tolist() for a in target)), reverse=True)
         report = []
-        for length, iv in sorted(target.members, reverse=True):
+        for length, start, end in members:
             if self.scheme.kind == DI:
                 pred = snapshot.get(length - 1)
             else:
@@ -126,14 +130,14 @@ class DictExpertPool:
                         f"AGC expected a length-{length} predecessor at t={t}")
             r, c = (pred.r_stat, pred.c_stat) if pred is not None else (0.0, 0.0)
             self.experts[length] = ExpertState(
-                interval=iv,
+                interval=(start, end),
                 eta=bounds.s_radius / (bounds.g_bound * math.sqrt(length)),
                 r_stat=r,
                 c_stat=c,
                 active=True,
             )
-            report.append((iv, pred is not None))
-        restarted = {length for length, _ in target.members}
+            report.append((length, pred is not None))
+        restarted = {length for length, _, _ in members}
         for length, exp in self.experts.items():
             exp.active = length in restarted
         return report

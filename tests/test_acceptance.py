@@ -14,7 +14,7 @@ import pytest
 from fairsaoml import hedge
 from fairsaoml.engine import (MODE_SINGLE_EXPERT, AblationFlags, RunConfig,
                               SplitSizes, run)
-from fairsaoml.intervals import Interval, IntervalScheme, ilog, target_set
+from fairsaoml.intervals import IntervalScheme, ilog, target_set
 from fairsaoml.metrics import (cumulative_violation, fair_sar_estimate,
                                offline_minimizer)
 from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
@@ -60,21 +60,33 @@ def _independent_floor_log(base: int, n: int) -> int:
     return k
 
 
+def _check_arrays(target, t: int, exact: bool) -> None:
+    """Lengths ascend, and every member has 1 <= start <= end with
+    end - start + 1 <= length (== length where no truncation applies)."""
+    lengths, starts, ends = target
+    assert len(lengths) == len(starts) == len(ends) > 0, t
+    assert (np.diff(lengths) > 0).all(), t
+    assert ((1 <= starts) & (starts <= ends)).all(), t
+    spans = ends - starts + 1
+    assert ((spans == lengths) if exact else (spans <= lengths)).all(), t
+
+
 def _scan_geometric(kind: str, base: int, limit: int) -> None:
-    horizon = limit if kind == "agc" else None
-    scheme = IntervalScheme(kind, horizon=horizon, base=base)
+    # the stream is `limit` rounds long, which is AGC's horizon
+    scheme = IntervalScheme(kind, base=base)
     full = enumerate_full_set(scheme, limit)
-    starts = np.array([iv.start for iv in full])
-    ends = np.array([iv.end for iv in full])
+    starts = np.array([s for s, _ in full])
+    ends = np.array([e for _, e in full])
     for t in range(1, limit + 1):
         inside_t = (starts <= t) & (t <= ends)
         inside_prev = (starts <= t - 1) & (t - 1 <= ends)
         picked = sorted({(int(s), int(e)) for s, e in
                          zip(starts[inside_t & ~inside_prev],
                              ends[inside_t & ~inside_prev])})
-        got = [(iv.start, iv.end) for iv in intervals(target_set(scheme, t))]
-        assert got == picked, (kind, base, t)
-        total = expected_census(scheme, t)["total"]
+        target = target_set(scheme, t, limit)
+        _check_arrays(target, t, exact=kind == "dgc")
+        assert list(intervals(target)) == picked, (kind, base, t)
+        total = expected_census(scheme, t, limit)["total"]
         if kind == "agc":
             assert total == _independent_floor_log(base, limit)
         else:
@@ -87,16 +99,17 @@ def test_criterion_1_interval_oracle_equivalence():
     # DI is base-free: one pass against the enumerated suffix family
     di = IntervalScheme("di")
     full = enumerate_full_set(di, limit)
-    ends = np.array([iv.end for iv in full])
-    starts = np.array([iv.start for iv in full])
+    ends = np.array([e for _, e in full])
+    starts = np.array([s for s, _ in full])
     order = np.argsort(ends, kind="stable")
     sorted_ends = ends[order]
     for t in range(1, limit + 1):
         lo, hi = np.searchsorted(sorted_ends, (t, t + 1))
         picked = sorted({(int(starts[i]), t) for i in order[lo:hi]})
-        got = [(iv.start, iv.end) for iv in intervals(target_set(di, t))]
-        assert got == picked, ("di", t)
-        assert expected_census(di, t)["total"] == t
+        target = target_set(di, t, limit)
+        _check_arrays(target, t, exact=True)
+        assert list(intervals(target)) == picked, ("di", t)
+        assert expected_census(di, t, limit)["total"] == t
     for base in (2, 3, 4, 5):
         for kind in ("agc", "dgc"):
             _scan_geometric(kind, base, limit)
@@ -111,15 +124,14 @@ def test_criterion_1_interval_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_worked_examples():
-    agc = IntervalScheme("agc", horizon=18)
-    ok = intervals(target_set(agc, 5)) == (Interval(5, 5), Interval(5, 6),
-                                           Interval(5, 8))
+    agc = IntervalScheme("agc")  # over an 18-round stream
+    ok = intervals(target_set(agc, 5, 18)) == ((5, 5), (5, 6), (5, 8))
     lengths = {length for t in range(1, 19)
-               for length, _ in target_set(agc, t).members}
+               for length in target_set(agc, t, 18)[0].tolist()}
     ok = ok and lengths == {1, 2, 4, 8}
     dgc = IntervalScheme("dgc")
-    ok = ok and intervals(target_set(dgc, 5)) == (Interval(5, 5),)
-    ok = ok and Interval(16, 31) in intervals(target_set(dgc, 16))
+    ok = ok and intervals(target_set(dgc, 5, 18)) == ((5, 5),)
+    ok = ok and (16, 31) in intervals(target_set(dgc, 16, 18))
     report(2, ok, "AGC/DGC worked examples reproduced exactly")
 
 
@@ -246,8 +258,8 @@ def _fair_stream(seed=2, n=12):
 
 def test_criterion_5_feasibility_invariants():
     checked = 0
-    for kind, horizon in (("di", None), ("agc", 12), ("dgc", None)):
-        cfg = RunConfig(scheme=IntervalScheme(kind, horizon=horizon), n_meta=3,
+    for kind in ("di", "agc", "dgc"):
+        cfg = RunConfig(scheme=IntervalScheme(kind), n_meta=3,
                         seed=1, split=SplitSizes(15, 30))
         records = checked_run(cfg, _unfair_stream())
         checked += len(records)
@@ -297,8 +309,7 @@ DRIFT_RADIUS = 0.5
 def _drift_run(kind, T, seed):
     stream = generate_stream(default_drift_spec(T // 3, seed=seed,
                                                 batch_size=400))
-    cfg = RunConfig(scheme=IntervalScheme(kind,
-                                          horizon=T if kind == "agc" else None),
+    cfg = RunConfig(scheme=IntervalScheme(kind),
                     n_meta=5, seed=seed, split=SplitSizes(20, 200),
                     fairness=DRIFT_FAIRNESS, s_radius=DRIFT_RADIUS,
                     lagrangian=DRIFT_LAGRANGIAN)
@@ -352,7 +363,7 @@ def test_criterion_8_adaptation_ordering():
     gaps, masses = [], []
     for seed in SEEDS:
         stream = _flip_stream(seed, T)
-        cfg = RunConfig(scheme=IntervalScheme("agc", horizon=T), n_meta=5,
+        cfg = RunConfig(scheme=IntervalScheme("agc"), n_meta=5,
                         seed=seed, split=SplitSizes(20, 40),
                         lagrangian=LagrangianConfig(eta1=0.05, eta2=0.05))
         agc = checked_run(cfg, stream)
@@ -446,12 +457,12 @@ def test_criterion_11_complexity_accounting():
     env = EnvSpec(T, 4, (1.0, 1.0, 0.0, 0.0), group_bias=0.4, noise=0.05)
     stream = generate_stream(StreamSpec((env,), batch_size=150, seed=0))
     ok = True
-    for kind, horizon in (("di", None), ("agc", T), ("dgc", None)):
-        scheme = IntervalScheme(kind, horizon=horizon)
+    for kind in ("di", "agc", "dgc"):
+        scheme = IntervalScheme(kind)
         cfg = RunConfig(scheme=scheme, n_meta=4, seed=1, split=SplitSizes(15, 30))
         for rec in checked_run(cfg, stream):
             ok = ok and rec.inner_adapt_calls == cfg.n_meta * rec.n_active
-            bound = expected_census(scheme, rec.t)["total"]
+            bound = expected_census(scheme, rec.t, T)["total"]
             if kind == "di":
                 ok = ok and rec.n_experts == rec.t
             else:

@@ -128,9 +128,16 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(path)]) == 0
         rows = read_rows(tmp_path / "out" / "rep2" / "rounds.csv")[1:]
-        scheme = IntervalScheme("agc", horizon=len(rows))
         assert [int(r[6]) for r in rows] == [
-            expected_census(scheme, t)["total"] for t in range(1, len(rows) + 1)]
+            expected_census(IntervalScheme("agc"), t, len(rows))["total"]
+            for t in range(1, len(rows) + 1)]
+
+    def test_dgc_base_beyond_int64(self, tmp_path):
+        # only length 1 divides every round, so one expert restarts each round
+        path, _ = write_config(tmp_path, reps=1, base=2 ** 70)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        rows = read_rows(tmp_path / "out" / "rep2" / "rounds.csv")[1:]
+        assert [(r[6], r[7]) for r in rows] == [("1", "1")] * 4
 
 
 class TestGenData:
@@ -222,7 +229,7 @@ class TestTrace:
                                                    {"kind": "deo", "epsilon": 0.1}])
         cfg = cli.load_config(str(path))
         batches = cli.build_batches(cfg)
-        records = run(cli.build_run_config(cfg, cfg["seed"], len(batches)), batches)
+        records = run(cli.build_run_config(cfg, cfg["seed"]), batches)
         assert len(records) >= 4
         cli.write_trace(records, tmp_path / "trace.npz")
         thetas, batches, g_prev = cli.read_trace(tmp_path / "trace.npz")
@@ -288,6 +295,31 @@ class TestErrors:
         monkeypatch.setattr("fairsaoml.hedge.normalize", overflow)
         path, _ = write_config(tmp_path, reps=1)
         assert cli.main(["run", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("base,n_tasks", [(3, 2), (2, 1)])
+    def test_agc_with_fewer_batches_than_base(self, tmp_path, capsys, base, n_tasks):
+        env = {"n_tasks": n_tasks, "dim": 4, "boundary": [1, 1, 0, 0]}
+        path, _ = write_config(tmp_path, scheme="agc", base=base,
+                               stream={"batch_size": 140, "environments": [env]})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"AGC with base {base} needs at least {base} batches, got {n_tasks}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rep2" / "rounds.csv").exists()
+
+    def test_csv_without_round_column_needs_batch_size(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(data)]) == 0
+        cfg = json.loads(path.read_text())
+        del cfg["stream"]
+        cfg["csv"] = {"path": str(data), "feature_columns": ["f0", "f1", "f2", "f3"],
+                      "round_column": None}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "batch_size" in capsys.readouterr().err
+        cfg["csv"]["batch_size"] = 140
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 0
 
     def test_missing_data_sections(self, tmp_path):
         path = tmp_path / "c.json"

@@ -20,8 +20,8 @@ def make_stream(n_tasks=8, bias=0.4, seed=0, dim=4, batch=140):
     return generate_stream(StreamSpec((env,), batch_size=batch, seed=seed))
 
 
-def make_config(kind="dgc", horizon=None, **kw):
-    scheme = None if kind is None else IntervalScheme(kind, horizon=horizon)
+def make_config(kind="dgc", **kw):
+    scheme = None if kind is None else IntervalScheme(kind)
     defaults = dict(scheme=scheme, n_meta=3, seed=1,
                     split=SplitSizes(15, 30))
     defaults.update(kw)
@@ -37,25 +37,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run(make_config(), [])
 
-    def test_agc_horizon_mismatch(self):
-        cfg = make_config("agc", horizon=9)
-        with pytest.raises(ConfigurationError, match="horizon"):
-            run(cfg, make_stream(8))
-
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):
             make_config(mode="bogus")
 
 
 class TestCensusTraces:
+    # AGC's horizon is the stream length; DI and DGC ignore it
     @pytest.mark.parametrize("kind,horizon", [("di", None), ("agc", 8), ("dgc", None)])
     def test_counts_per_round(self, kind, horizon):
         stream = make_stream(8)
-        records = run(make_config(kind, horizon=horizon), stream)
+        records = run(make_config(kind), stream)
+        scheme = IntervalScheme(kind)
         for rec in records:
-            scheme = IntervalScheme(kind, horizon=horizon)
-            assert rec.n_experts == expected_census(scheme, rec.t)["total"]
-            assert rec.n_active == len({ln for ln, _ in target_set(scheme, rec.t).members})
+            assert rec.n_experts == expected_census(scheme, rec.t, horizon)["total"]
+            assert rec.n_active == len(target_set(scheme, rec.t, horizon)[0])
 
     def test_dgc_trace_values(self):
         records = run(make_config("dgc"), make_stream(8))
@@ -82,8 +78,8 @@ class TestDeterminism:
 class TestFeasibility:
     @pytest.mark.parametrize("kind,horizon", [("di", None), ("agc", 8), ("dgc", None)])
     def test_ball_and_dual_invariants(self, kind, horizon):
-        cfg = make_config(kind, horizon=horizon)
-        records = run(cfg, make_stream(8, bias=1.0))
+        cfg = make_config(kind)
+        records = run(cfg, make_stream(horizon or 8, bias=1.0))
         radius = cfg.radius()
         for rec in records:
             assert rec.theta_norm <= radius + 1e-12
@@ -164,7 +160,7 @@ class TestPoolState:
             return last["adapted"]
 
         monkeypatch.setattr(engine, "inner_adapt", recording_inner_adapt)
-        cfg = make_config("agc", horizon=8, n_meta=2)
+        cfg = make_config("agc", n_meta=2)
         stream = make_stream(8)
         eng = Engine(cfg, total_rounds=8, dim=stream[0].dim)
         slept = 0
@@ -185,9 +181,8 @@ class TestPoolState:
     @pytest.mark.parametrize("kind,horizon", [("di", None), ("agc", 8), ("dgc", None)])
     def test_records_do_not_alias_pool_state(self, kind, horizon):
         # DI grows the pool every round; AGC and DGC mostly update it in place
-        stream = make_stream(8)
-        eng = Engine(make_config(kind, horizon=horizon), total_rounds=8,
-                     dim=stream[0].dim)
+        stream = make_stream(horizon or 8)
+        eng = Engine(make_config(kind), total_rounds=len(stream), dim=stream[0].dim)
         kept = []
         for t, batch in enumerate(stream, start=1):
             rec = eng.round(t, batch)

@@ -1,38 +1,15 @@
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsaoml.errors import ConfigurationError
-from fairsaoml.intervals import Interval, IntervalScheme, ilog, target_set
-from oracles import (brute_force_target_set, contains, enumerate_full_set,
-                     expected_census, intervals)
-
-
-class TestInterval:
-    def test_length_and_contains(self):
-        iv = Interval(3, 7)
-        assert iv.length == 5
-        assert contains(iv, 3) and contains(iv, 7)
-        assert not contains(iv, 2) and not contains(iv, 8)
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ConfigurationError):
-            Interval(5, 4)
-        with pytest.raises(ConfigurationError):
-            Interval(0, 3)
+from fairsaoml.intervals import IntervalScheme, ilog, target_set
+from oracles import (brute_force_target_set, enumerate_full_set, expected_census,
+                     intervals)
 
 
 class TestSchemeValidation:
-    def test_agc_needs_horizon(self):
-        with pytest.raises(ConfigurationError):
-            IntervalScheme("agc")
-
-    def test_di_rejects_horizon(self):
-        with pytest.raises(ConfigurationError):
-            IntervalScheme("di", horizon=10)
-
     def test_base_lower_bound(self):
         with pytest.raises(ConfigurationError):
             IntervalScheme("dgc", base=1)
@@ -58,82 +35,85 @@ class TestIlog:
 
 class TestWorkedExamples:
     def test_agc_t5(self):
-        scheme = IntervalScheme("agc", horizon=18)
-        ts = target_set(scheme, 5)
-        assert intervals(ts) == (Interval(5, 5), Interval(5, 6), Interval(5, 8))
+        ts = target_set(IntervalScheme("agc"), 5, 18)
+        assert intervals(ts) == ((5, 5), (5, 6), (5, 8))
 
     def test_agc_subsets_for_t18(self):
-        scheme = IntervalScheme("agc", horizon=18)
+        scheme = IntervalScheme("agc")
         lengths = {length for t in range(1, 19)
-                   for length, _ in target_set(scheme, t).members}
+                   for length in target_set(scheme, t, 18)[0].tolist()}
         assert lengths == {1, 2, 4, 8}
 
     def test_agc_truncation(self):
-        scheme = IntervalScheme("agc", horizon=18)
-        last_len8 = max(iv for iv in enumerate_full_set(scheme, 18) if iv.start == 17)
-        assert last_len8 == Interval(17, 18)
+        scheme = IntervalScheme("agc")
+        last_len8 = max(iv for iv in enumerate_full_set(scheme, 18) if iv[0] == 17)
+        assert last_len8 == (17, 18)
+        lengths, starts, ends = target_set(scheme, 17, 18)
+        assert (lengths[-1], starts[-1], ends[-1]) == (8, 17, 18)
 
     def test_dgc_t5(self):
-        ts = target_set(IntervalScheme("dgc"), 5)
-        assert intervals(ts) == (Interval(5, 5),)
+        ts = target_set(IntervalScheme("dgc"), 5, 5)
+        assert intervals(ts) == ((5, 5),)
 
     def test_dgc_t16_has_length16(self):
-        ts = target_set(IntervalScheme("dgc"), 16)
-        assert Interval(16, 31) in intervals(ts)
-        assert {iv.length for iv in intervals(ts)} == {1, 2, 4, 8, 16}
+        ts = target_set(IntervalScheme("dgc"), 16, 16)
+        assert (16, 31) in intervals(ts)
+        assert ts[0].tolist() == [1, 2, 4, 8, 16]
 
     def test_di_is_all_suffixes(self):
-        ts = target_set(IntervalScheme("di"), 4)
-        assert intervals(ts) == (Interval(1, 4), Interval(2, 4), Interval(3, 4), Interval(4, 4))
+        ts = target_set(IntervalScheme("di"), 4, 4)
+        assert intervals(ts) == ((1, 4), (2, 4), (3, 4), (4, 4))
 
 
 class TestBruteForceEquivalence:
-    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("base", [2, 3, 4, 5])
     def test_agc(self, base):
-        scheme = IntervalScheme("agc", horizon=100, base=base)
+        scheme = IntervalScheme("agc", base=base)
         for t in range(1, 101):
-            assert intervals(target_set(scheme, t)) == \
+            assert intervals(target_set(scheme, t, 100)) == \
                 brute_force_target_set(scheme, t, 100)
 
-    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("base", [2, 3, 4, 5])
     def test_dgc(self, base):
         scheme = IntervalScheme("dgc", base=base)
         for t in range(1, 101):
             # enumeration bound generous enough to include all starters at t
-            assert intervals(target_set(scheme, t)) == \
+            assert intervals(target_set(scheme, t, 100)) == \
                 brute_force_target_set(scheme, t, 101)
 
     def test_di(self):
         scheme = IntervalScheme("di")
         for t in range(1, 60):
-            assert intervals(target_set(scheme, t)) == \
+            assert intervals(target_set(scheme, t, 60)) == \
                 brute_force_target_set(scheme, t, 60)
 
 
 class TestStructure:
     def test_members_start_at_t(self):
-        for scheme in (IntervalScheme("di"), IntervalScheme("agc", horizon=64),
-                       IntervalScheme("dgc")):
+        for scheme in (IntervalScheme("di"), IntervalScheme("agc"), IntervalScheme("dgc")):
             for t in range(1, 65):
-                ts = target_set(scheme, t)
-                for length, iv in ts.members:
-                    if scheme.kind == "di":
-                        assert iv.end == t and iv.length == length
-                    else:
-                        assert iv.start == t
-                        assert iv.length <= length  # truncation only shrinks
+                lengths, starts, ends = target_set(scheme, t, 64)
+                assert all(a.dtype.kind == "i" for a in (lengths, starts, ends))
+                assert len(lengths) == len(starts) == len(ends) > 0
+                assert (np.diff(lengths) > 0).all()
+                assert ((1 <= starts) & (starts <= ends)).all()
+                if scheme.kind == "di":
+                    assert (ends == t).all() and (ends - starts + 1 == lengths).all()
+                else:
+                    assert (starts == t).all()
+                    assert (ends - starts + 1 <= lengths).all()  # truncation only shrinks
 
     def test_dgc_levels_tile_the_line(self):
         scheme = IntervalScheme("dgc", base=2)
         full = enumerate_full_set(scheme, 64)
         for k in (0, 1, 2):
-            level = sorted(iv for iv in full if iv.length == 2 ** k and iv.end <= 64)
-            covered = sorted(t for iv in level for t in range(iv.start, iv.end + 1))
-            lo, hi = level[0].start, level[-1].end
+            level = sorted(iv for iv in full if iv[1] - iv[0] + 1 == 2 ** k and iv[1] <= 64)
+            covered = sorted(t for s, e in level for t in range(s, e + 1))
+            lo, hi = level[0][0], level[-1][1]
             assert covered == list(range(lo, hi + 1))  # contiguous, no overlap
 
     def test_census_formulas(self):
-        assert expected_census(IntervalScheme("di"), 7)["total"] == 7
-        assert expected_census(IntervalScheme("agc", horizon=18), 5)["total"] == 4
-        assert expected_census(IntervalScheme("dgc"), 5)["total"] == 3
-        assert expected_census(IntervalScheme("dgc"), 16)["total"] == 5
+        assert expected_census(IntervalScheme("di"), 7, 7)["total"] == 7
+        assert expected_census(IntervalScheme("agc"), 5, 18)["total"] == 4
+        assert expected_census(IntervalScheme("dgc"), 5, 5)["total"] == 3
+        assert expected_census(IntervalScheme("dgc"), 16, 16)["total"] == 5
