@@ -264,7 +264,7 @@ def write_rounds_csv(records: List[RoundRecord], path: Path, m: int) -> None:
 def write_trace(records: List[RoundRecord], path: Path) -> None:
     """Binary trace needed to regenerate regret reports offline."""
     offsets = np.cumsum([0] + [r.validation.size for r in records])
-    np.savez_compressed(
+    np.savez(
         path,
         theta_prev=np.stack([r.theta_prev for r in records]),
         val_features=np.vstack([r.validation.features for r in records]),
@@ -277,7 +277,7 @@ def write_trace(records: List[RoundRecord], path: Path) -> None:
 
 
 def read_trace(path: Path):
-    # each NpzFile lookup decompresses the whole array, so read each one once
+    # each NpzFile lookup reads the whole array again, so read each one once
     with np.load(path) as data:
         x, y, s = data["val_features"], data["val_labels"], data["val_protected"]
         offsets, rounds = data["offsets"], data["rounds"]
@@ -355,13 +355,12 @@ def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:
 
 
 def execute_run(cfg: dict, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     batches = build_batches(cfg)
     seeds = [cfg["seed"] + i for i in range(cfg["reps"])]
     for seed in seeds:
+        records = run(build_run_config(cfg, seed), batches)
         rep_dir = out_dir / f"rep{seed}"
         rep_dir.mkdir(parents=True, exist_ok=True)
-        records = run(build_run_config(cfg, seed), batches)
         write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
         write_trace(records, rep_dir / "trace.npz")
     write_report(out_dir, cfg, seeds)

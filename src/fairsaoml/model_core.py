@@ -53,7 +53,13 @@ class TaskBatch:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "TaskBatch":
-        return TaskBatch(self.features[idx], self.labels[idx], self.protected[idx], self.round)
+        """The rows `idx` (an integer index array) as copies; they are valid because self is."""
+        sub = object.__new__(TaskBatch)
+        sub.__dict__.update(features=self.features[idx], labels=self.labels[idx],
+                            protected=self.protected[idx], round=self.round)
+        if sub.size < 1:
+            raise DegenerateInputError("empty batch")
+        return sub
 
 
 @dataclass(frozen=True)
@@ -168,11 +174,13 @@ def fairness_grad(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> np
     return np.multiply.outer(np.sign(np.asarray(theta, dtype=float) @ a), a)
 
 
+VALIDATION, SUPPORT, QUERY = 0, 1, 2  # row roles in split_batch
+
+
 def split_batch(batch: TaskBatch, support_per_class: int, query_size: int,
                 rng_seed: int) -> BatchSplit:
     """Disjoint support/query/validation index split, support stratified by label."""
     rng = np.random.default_rng(rng_seed)
-    n = batch.size
     support_idx = []
     for cls in (-1, 1):
         cls_idx = np.flatnonzero(batch.labels == cls)
@@ -180,14 +188,14 @@ def split_batch(batch: TaskBatch, support_per_class: int, query_size: int,
             raise DegenerateInputError(
                 f"class {cls} has {cls_idx.size} samples, need {support_per_class}")
         support_idx.append(rng.choice(cls_idx, size=support_per_class, replace=False))
-    support_idx = np.concatenate(support_idx)
-    rest = np.setdiff1d(np.arange(n), support_idx)
+    role = np.full(batch.size, VALIDATION, dtype=np.int8)
+    role[np.concatenate(support_idx)] = SUPPORT
+    rest = np.flatnonzero(role == VALIDATION)
     if rest.size < query_size + 1:
         raise DegenerateInputError("batch too small for requested support and query sizes")
-    query_idx = rng.choice(rest, size=query_size, replace=False)
-    val_idx = np.setdiff1d(rest, query_idx)
+    role[rng.choice(rest, size=query_size, replace=False)] = QUERY
     return BatchSplit(
-        support=batch.subset(np.sort(support_idx)),
-        validation=batch.subset(np.sort(val_idx)),
-        query=batch.subset(np.sort(query_idx)),
+        support=batch.subset(np.flatnonzero(role == SUPPORT)),
+        validation=batch.subset(np.flatnonzero(role == VALIDATION)),
+        query=batch.subset(np.flatnonzero(role == QUERY)),
     )

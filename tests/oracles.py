@@ -5,8 +5,9 @@ Nothing in `fairsaoml` calls these: the interval family is enumerated as
 pool is a dict of per-expert records keyed by length, expert weights come
 from the closed-form potential, the meta objective is evaluated
 directly for finite differences, the meta gradients are summed expert by
-expert, and the drift stream of the acceptance criteria is built from its
-specification.
+expert, the batch split takes set differences and builds each part through
+the validating `TaskBatch` constructor, and the drift stream of the
+acceptance criteria is built from its specification.
 """
 import math
 from dataclasses import dataclass, field
@@ -14,10 +15,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from fairsaoml.errors import ConfigurationError, InternalConsistencyError
+from fairsaoml.errors import (ConfigurationError, DegenerateInputError,
+                              InternalConsistencyError)
 from fairsaoml.experts import GradientBoundConsts
 from fairsaoml.intervals import AGC, DI, IntervalScheme, ilog
-from fairsaoml.model_core import FairnessSpec, LossSpec, ParamPair, TaskBatch, loss
+from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
+                                  TaskBatch, loss)
 from fairsaoml.optimizer import (LagrangianConfig, constraint_values,
                                  interval_lagrangian_theta_grad)
 from fairsaoml.stream import EnvSpec, StreamSpec
@@ -191,6 +194,34 @@ def meta_gradients_by_expert(weights: Sequence[float], active: Sequence[bool],
         else:
             g_lambda += w * (-damping * meta.lam)
     return g_theta, g_lambda
+
+
+def split_batch_by_setdiff(batch: TaskBatch, support_per_class: int, query_size: int,
+                           rng_seed: int) -> BatchSplit:
+    """`model_core.split_batch` with the same `rng.choice` draws, as set
+    differences, sorted indices and validating constructors."""
+    rng = np.random.default_rng(rng_seed)
+    n = batch.size
+    support_idx = []
+    for cls in (-1, 1):
+        cls_idx = np.flatnonzero(batch.labels == cls)
+        if cls_idx.size < support_per_class:
+            raise DegenerateInputError(
+                f"class {cls} has {cls_idx.size} samples, need {support_per_class}")
+        support_idx.append(rng.choice(cls_idx, size=support_per_class, replace=False))
+    support_idx = np.concatenate(support_idx)
+    rest = np.setdiff1d(np.arange(n), support_idx)
+    if rest.size < query_size + 1:
+        raise DegenerateInputError("batch too small for requested support and query sizes")
+    query_idx = rng.choice(rest, size=query_size, replace=False)
+    val_idx = np.setdiff1d(rest, query_idx)
+
+    def part(idx):
+        return TaskBatch(batch.features[idx], batch.labels[idx], batch.protected[idx],
+                         batch.round)
+
+    return BatchSplit(support=part(np.sort(support_idx)), validation=part(np.sort(val_idx)),
+                      query=part(np.sort(query_idx)))
 
 
 def default_drift_spec(tasks_per_env: int, seed: int = 0,

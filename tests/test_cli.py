@@ -304,7 +304,7 @@ class TestErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert f"AGC with base {base} needs at least {base} batches, got {n_tasks}" \
             in capsys.readouterr().err
-        assert not (tmp_path / "out" / "rep2" / "rounds.csv").exists()
+        assert not (tmp_path / "out" / "rep2").exists()
 
     def test_csv_without_round_column_needs_batch_size(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

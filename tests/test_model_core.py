@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from fairsaoml.errors import (ConfigurationError, DegenerateGroupError,
                               DegenerateInputError)
+from oracles import split_batch_by_setdiff
+
 from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
                                   TaskBatch, estimate_p1, fairness_grad,
                                   fairness_inner_mean, fairness_value, loss,
@@ -49,6 +53,39 @@ class TestBatchValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             TaskBatch(np.zeros((3, 2)), [1, -1], [1, -1, 1])
+
+    def make_int8(self):
+        # int8 labels and float32 features, which the constructor converts
+        rng = np.random.default_rng(3)
+        return TaskBatch(rng.standard_normal((12, 3)).astype(np.float32),
+                         rng.choice([-1, 1], size=12).astype(np.int8),
+                         rng.choice([-1, 1], size=12).astype(np.int8), round=7)
+
+    def test_subset_equals_validated_batch(self):
+        b = self.make_int8()
+        for idx in (np.array([0]), np.arange(12), np.array([11, 2, 5, 2]),
+                    np.flatnonzero(b.labels == 1)):
+            sub = b.subset(idx)
+            fresh = TaskBatch(b.features[idx], b.labels[idx], b.protected[idx], round=b.round)
+            assert sub.round == fresh.round == 7
+            for name in ("features", "labels", "protected"):
+                got, want = getattr(sub, name), getattr(fresh, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_subset_does_not_alias_parent(self):
+        b = self.make_int8()
+        before = (b.features.copy(), b.labels.copy(), b.protected.copy())
+        sub = b.subset(np.arange(5))
+        sub.features[:] = 0.0
+        sub.labels[:] = 9
+        sub.protected[:] = 9
+        for now, then in zip((b.features, b.labels, b.protected), before):
+            assert np.array_equal(now, then)
+
+    def test_subset_rejects_empty_index(self):
+        with pytest.raises(DegenerateInputError, match="empty batch"):
+            self.make_int8().subset(np.array([], dtype=int))
 
 
 class TestParamPair:
@@ -220,3 +257,37 @@ class TestSplit:
         b = self.make(n=50)
         with pytest.raises(DegenerateInputError):
             split_batch(b, 20, 40, rng_seed=0)
+
+    def test_matches_setdiff_oracle(self):
+        # exact sizes, roomy batches and too-small batches, with random class balance
+        parts = ("support", "query", "validation")
+        outcomes = {"raised": 0, "one_validation_row": 0, "split": 0}
+        for draw in range(360):
+            rng = np.random.default_rng(draw)
+            spc, q = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            need = 2 * spc + q + 1
+            n = (need, need + int(rng.integers(1, 150)),
+                 int(rng.integers(2, need)))[draw % 3]
+            n_pos = int(rng.integers(spc, n - spc + 1)) if draw % 3 == 0 else \
+                int(rng.integers(1, n))
+            labels = rng.permutation(np.repeat([1, -1], [n_pos, n - n_pos]))
+            b = TaskBatch(rng.standard_normal((n, 3)), labels,
+                          rng.choice([-1, 1], size=n), round=draw)
+            seed = int(rng.integers(2**31))
+            try:
+                want = split_batch_by_setdiff(b, spc, q, seed)
+            except DegenerateInputError as exc:
+                with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                    split_batch(b, spc, q, seed)
+                outcomes["raised"] += 1
+                continue
+            got = split_batch(b, spc, q, seed)
+            for part in parts:
+                g, w = getattr(got, part), getattr(want, part)
+                assert g.round == w.round == draw
+                for name in ("features", "labels", "protected"):
+                    assert getattr(g, name).dtype == getattr(w, name).dtype
+                    assert np.array_equal(getattr(g, name), getattr(w, name))
+            outcomes["split"] += 1
+            outcomes["one_validation_row"] += got.validation.size == 1
+        assert min(outcomes.values()) >= 50, outcomes
