@@ -5,11 +5,11 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -18,8 +18,8 @@ from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
 from .errors import ConfigurationError, IngestionError, NumericalFailureError
 from .intervals import IntervalScheme
 from .metrics import (cumulative_violation, eighty_percent_check,
-                      fair_sar_estimate, static_regret)
-from .model_core import FairnessSpec, LossSpec, TaskBatch
+                      fair_sar_estimate, round_losses, static_regret)
+from .model_core import FairnessSpec, LossSpec, Rounds, TaskBatch
 from .optimizer import Ball, LagrangianConfig
 from .stream import CsvSchema, EnvSpec, StreamSpec, generate_stream, load_csv, save_csv
 
@@ -163,10 +163,13 @@ def load_config(path: str, overrides: Optional[dict] = None) -> dict:
         raw = json.load(fh)
     if isinstance(raw, dict) and overrides:
         raw.update(overrides)
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"invalid config: {exc.message}") from exc
+    # imported here because `report` never validates a config; the schema itself
+    # is checked against its metaschema by the tests, not on every call
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+    if error is not None:
+        raise ConfigurationError(f"invalid config: {error.message}")
     cfg = dict(DEFAULTS)
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
@@ -263,28 +266,30 @@ def write_rounds_csv(records: List[RoundRecord], path: Path, m: int) -> None:
 
 def write_trace(records: List[RoundRecord], path: Path) -> None:
     """Binary trace needed to regenerate regret reports offline."""
-    offsets = np.cumsum([0] + [r.validation.size for r in records])
+    val = Rounds.from_batches([r.validation for r in records])
     np.savez(
         path,
         theta_prev=np.stack([r.theta_prev for r in records]),
-        val_features=np.vstack([r.validation.features for r in records]),
-        val_labels=np.concatenate([r.validation.labels for r in records]),
-        val_protected=np.concatenate([r.validation.protected for r in records]),
-        offsets=offsets,
+        val_features=val.features,
+        val_labels=val.labels,
+        val_protected=val.protected,
+        offsets=val.offsets,
         g_prev=np.array([r.g_prev for r in records]),
         rounds=np.array([r.t for r in records]),
     )
 
 
 def read_trace(path: Path):
+    """The played parameters (T, d), the checked validation rows of each round,
+    and the constraint values (T, m) of the played parameters."""
     # each NpzFile lookup reads the whole array again, so read each one once
     with np.load(path) as data:
-        x, y, s = data["val_features"], data["val_labels"], data["val_protected"]
-        offsets, rounds = data["offsets"], data["rounds"]
-        thetas, g_prev = list(data["theta_prev"]), data["g_prev"].tolist()
-    batches = [TaskBatch(x[a:b], y[a:b], s[a:b], round=int(t))
-               for a, b, t in zip(offsets[:-1], offsets[1:], rounds)]
-    return thetas, batches, g_prev
+        val = Rounds(data["val_features"], data["val_labels"], data["val_protected"],
+                     data["offsets"])
+        thetas, g_prev = data["theta_prev"], data["g_prev"]
+    if len(thetas) != val.n_rounds or len(g_prev) != val.n_rounds:
+        raise ConfigurationError(f"{path}: arrays disagree on the number of rounds")
+    return thetas, val, g_prev
 
 
 def _read_rounds_csv(path: Path) -> List[dict]:
@@ -293,23 +298,24 @@ def _read_rounds_csv(path: Path) -> List[dict]:
 
 
 def compute_report(rep_dir: Path, cfg: dict) -> dict:
-    thetas, batches, g_prev = read_trace(rep_dir / "trace.npz")
+    thetas, val, g_prev = read_trace(rep_dir / "trace.npz")
     run_cfg = build_run_config(cfg, cfg["seed"])
     loss_spec, ball = run_cfg.loss, Ball(run_cfg.radius())
-    regret, sol = static_regret(thetas, batches, loss_spec, ball)
+    losses = round_losses(thetas, val, loss_spec)
+    regret, sol = static_regret(losses, val, loss_spec, ball)
     report = {
         "static_regret": regret,
         "solver_residual": sol.residual,
         "solver_converged": sol.converged,
-        "cumulative_violation": cumulative_violation([g[0] for g in g_prev]),
+        "cumulative_violation": cumulative_violation(g_prev[:, 0]),
         "cumulative_violation_per_constraint": [cumulative_violation(col)
-                                                for col in zip(*g_prev)],
+                                                for col in g_prev.T],
         "fair_sar": {},
     }
     for tau in cfg["metrics"]["tau"]:
-        if tau > len(batches):
+        if tau > val.n_rounds:
             continue
-        rr = fair_sar_estimate(thetas, batches, g_prev, loss_spec, ball, tau)
+        rr = fair_sar_estimate(losses, val, g_prev, loss_spec, ball, tau)
         report["fair_sar"][str(tau)] = {
             "max_loss_regret": rr.max_loss_regret,
             "max_constraint_sums": rr.max_constraint_sums,
@@ -326,23 +332,19 @@ def compute_report(rep_dir: Path, cfg: dict) -> dict:
 
 def aggregate_metrics_csv(rep_dirs: List[Path], out_path: Path) -> None:
     per_rep = [_read_rounds_csv(d / "rounds.csv") for d in rep_dirs]
-    n_rounds = len(per_rep[0])
     cols = ["val_loss", "val_acc", "dp", "eo"]
+    columns = [["t"]]
+    for c in cols:
+        # (reps, T), with an empty cell as NaN, which the nan-reductions skip
+        vals = np.array([[float(r[c]) if r[c] else np.nan for r in rep] for rep in per_rep])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a round no rep defines
+            stats = (np.nanmean(vals, axis=0), np.nanstd(vals, axis=0))
+        columns += [[f"{stat}_{c}"] + ["" if np.isnan(v) else _fmt(float(v)) for v in col]
+                    for stat, col in zip(("mean", "std"), stats)]
+    columns[0] += [r["t"] for r in per_rep[0]]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for c in cols:
-            header += [f"mean_{c}", f"std_{c}"]
-        writer.writerow(header)
-        for i in range(n_rounds):
-            row = [per_rep[0][i]["t"]]
-            for c in cols:
-                vals = [float(rep[i][c]) for rep in per_rep if rep[i][c] != ""]
-                if vals:
-                    row += [_fmt(float(np.mean(vals))), _fmt(float(np.std(vals)))]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+        csv.writer(fh).writerows(zip(*columns))
 
 
 def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:

@@ -55,6 +55,10 @@ class RunConfig:
             raise ConfigurationError("n_meta must be >= 1")
         if self.mode == MODE_FAIRSAOML and self.scheme is None:
             raise ConfigurationError("an interval scheme is required")
+        if self.s_radius is None and self.radius() <= 0.0:
+            raise ConfigurationError(
+                f"fairness[0].epsilon = {self.fairness[0].epsilon} makes the default ball "
+                "radius sqrt(1 + 2*epsilon) - 1 zero; set s_radius")
 
     def radius(self) -> float:
         if self.s_radius is not None:
@@ -91,7 +95,7 @@ def _split_seed(seed: int, t: int, n: int) -> int:
 
 def _telemetry(theta: np.ndarray, validation: TaskBatch, loss_spec: LossSpec,
                fairness: Sequence[FairnessSpec]):
-    z = scores(theta, validation)
+    z = scores(theta, validation.features)
     preds = np.where(z >= 0.0, 1, -1)
     return (
         loss(theta, validation, loss_spec),

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .model_core import LossSpec, TaskBatch, loss
+from .model_core import LossSpec, Rounds, rows_loss
 from .optimizer import Ball, project_ball
 
 SOLVER_TOL = 1e-8
@@ -67,32 +67,30 @@ class SolverResult:
     iterations: int
 
 
-def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec,
-                      ball: Ball) -> SolverResult:
-    """Projected gradient descent on the summed loss over the ball.
+def offline_minimizer(rounds: Rounds, loss_spec: LossSpec, ball: Ball) -> SolverResult:
+    """Projected gradient descent on the summed per-round loss over the ball.
 
     Uses spectral (Barzilai-Borwein) steps with a monotone fallback; the
     residual is the norm of the projected-gradient map.
     """
-    d = batches[0].dim
-    x = np.vstack([b.features for b in batches])
-    y = np.concatenate([b.labels for b in batches])
-    n_batches = len(batches)
-    sizes = np.array([b.size for b in batches], dtype=float)
-    # per-sample weight so the objective equals sum_t mean-loss of batch t
-    w = np.concatenate([np.full(b.size, 1.0 / b.size) for b in batches])
+    x, y, wy = rounds.features, rounds.labels, rounds.signed_weights
+    l2 = rounds.n_rounds * loss_spec.l2_coefficient
+    buf = np.empty(y.shape)
 
     def grad(theta: np.ndarray) -> np.ndarray:
-        z = x @ theta
-        sig = 1.0 / (1.0 + np.exp(y * z))
-        g = -((w * y * sig) @ x)
-        return g + n_batches * loss_spec.l2_coefficient * theta
+        # w * y * sigmoid(-yz), in place; exp overflows to inf where the sigmoid is 0
+        np.multiply(y, x @ theta, out=buf)
+        with np.errstate(over="ignore"):
+            np.exp(buf, out=buf)
+        np.add(buf, 1.0, out=buf)
+        np.reciprocal(buf, out=buf)
+        np.multiply(buf, wy, out=buf)
+        return -(buf @ x) + l2 * theta
 
     # Lipschitz bound for the summed objective
-    hess_bound = 0.25 * np.linalg.eigvalsh((x * w[:, None]).T @ x)[-1] \
-        + n_batches * loss_spec.l2_coefficient
+    hess_bound = 0.25 * np.linalg.eigvalsh((x * rounds.weights[:, None]).T @ x)[-1] + l2
     step0 = 1.0 / max(hess_bound, 1e-12)
-    theta = np.zeros(d)
+    theta = np.zeros(x.shape[1])
     g = grad(theta)
     step = step0
     residual = np.inf
@@ -113,15 +111,24 @@ def offline_minimizer(batches: Sequence[TaskBatch], loss_spec: LossSpec,
                         iterations=it)
 
 
-def static_regret(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
-                  loss_spec: LossSpec, ball: Ball) -> Tuple[float, SolverResult]:
-    """Cumulative loss gap against the best fixed parameter in hindsight."""
-    if len(thetas) != len(batches):
-        raise ConfigurationError("one parameter per batch required")
-    sol = offline_minimizer(batches, loss_spec, ball)
-    algo = sum(loss(th, b, loss_spec) for th, b in zip(thetas, batches))
-    best = sum(loss(sol.theta, b, loss_spec) for b in batches)
-    return algo - best, sol
+def round_losses(thetas: Sequence[np.ndarray], rounds: Rounds, loss_spec: LossSpec) -> List[float]:
+    """The loss of thetas[t] on round t, for each round."""
+    if len(thetas) != rounds.n_rounds:
+        raise ConfigurationError("one parameter per round required")
+    o = rounds.offsets.tolist()
+    return [rows_loss(theta, rounds.features[a:b], rounds.labels[a:b], loss_spec)
+            for theta, a, b in zip(thetas, o[:-1], o[1:])]
+
+
+def static_regret(losses: Sequence[float], rounds: Rounds, loss_spec: LossSpec,
+                  ball: Ball) -> Tuple[float, SolverResult]:
+    """Cumulative gap between the per-round losses `losses` (see `round_losses`)
+    and those of the best fixed parameter in hindsight."""
+    if len(losses) != rounds.n_rounds:
+        raise ConfigurationError("one loss per round required")
+    sol = offline_minimizer(rounds, loss_spec, ball)
+    best = sum(round_losses([sol.theta] * rounds.n_rounds, rounds, loss_spec))
+    return sum(losses) - best, sol
 
 
 @dataclass
@@ -142,16 +149,17 @@ class RegretReport:
     approximate: bool  # any window solver stopped above tolerance
 
 
-def fair_sar_estimate(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
-                      g_values: Sequence[Sequence[float]], loss_spec: LossSpec,
-                      ball: Ball, tau: int, stride: Optional[int] = None) -> RegretReport:
-    """Max windowed loss regret and constraint sums over length-tau windows."""
-    T = len(batches)
+def fair_sar_estimate(losses: Sequence[float], rounds: Rounds,
+                      g_values: Sequence[Sequence[float]], loss_spec: LossSpec, ball: Ball,
+                      tau: int, stride: Optional[int] = None) -> RegretReport:
+    """Max windowed loss regret and constraint sums over length-tau windows;
+    `losses` are the per-round losses of the played parameters."""
+    T = rounds.n_rounds
     if tau > T:
         raise ConfigurationError("tau must be <= number of rounds")
     if stride is None:
         stride = 1 if T <= EXHAUSTIVE_WINDOW_LIMIT else max(1, tau // 4)
-    g_arr = np.asarray(list(g_values), dtype=float)
+    g_arr = np.asarray(g_values, dtype=float)
     if g_arr.ndim == 1:
         g_arr = g_arr[:, None]
     m = g_arr.shape[1]
@@ -161,7 +169,7 @@ def fair_sar_estimate(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch]
         starts.append(T - tau)
     for s in starts:
         sl = slice(s, s + tau)
-        regret, sol = static_regret(thetas[sl], batches[sl], loss_spec, ball)
+        regret, sol = static_regret(losses[sl], rounds.window(s, s + tau), loss_spec, ball)
         windows.append(WindowResult(
             start=s + 1,
             loss_regret=regret,

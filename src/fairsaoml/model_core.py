@@ -6,7 +6,7 @@ shape (d,) or K rows of shape (K, d), and reduce over the last axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +14,26 @@ from .errors import ConfigurationError, DegenerateGroupError, DegenerateInputErr
 
 DDP = "ddp"
 DEO = "deo"
+
+
+def _checked_rows(features, labels, protected):
+    """The rows as float features and int labels and protected values, after
+    checking that they are nonempty, finite, of equal length and in {-1, +1}."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    s = np.asarray(protected, dtype=int)
+    if x.ndim != 2:
+        raise ConfigurationError("features must be a 2-d array")
+    n = x.shape[0]
+    if n < 1:
+        raise DegenerateInputError("empty batch")
+    if y.shape != (n,) or s.shape != (n,):
+        raise ConfigurationError("features, labels, protected must have equal length")
+    if not np.isfinite(x).all():
+        raise ConfigurationError("non-finite feature values")
+    if not np.isin(y, (-1, 1)).all() or not np.isin(s, (-1, 1)).all():
+        raise ConfigurationError("labels and protected must be in {-1, +1}")
+    return x, y, s
 
 
 @dataclass(frozen=True)
@@ -26,20 +46,7 @@ class TaskBatch:
     round: int = 0
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
-        s = np.asarray(self.protected, dtype=int)
-        if x.ndim != 2:
-            raise ConfigurationError("features must be a 2-d array")
-        n = x.shape[0]
-        if n < 1:
-            raise DegenerateInputError("empty batch")
-        if y.shape != (n,) or s.shape != (n,):
-            raise ConfigurationError("features, labels, protected must have equal length")
-        if not np.isfinite(x).all():
-            raise ConfigurationError("non-finite feature values")
-        if not np.isin(y, (-1, 1)).all() or not np.isin(s, (-1, 1)).all():
-            raise ConfigurationError("labels and protected must be in {-1, +1}")
+        x, y, s = _checked_rows(self.features, self.labels, self.protected)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "protected", s)
@@ -60,6 +67,62 @@ class TaskBatch:
         if sub.size < 1:
             raise DegenerateInputError("empty batch")
         return sub
+
+
+@dataclass(frozen=True)
+class Rounds:
+    """The rows of T rounds stacked: round t (from 0) is rows offsets[t]:offsets[t + 1].
+
+    Construction applies TaskBatch's checks to all rows at once and rejects an
+    empty round. `weights` gives each row 1/n_t, the share of its round, so a
+    weighted sum over rows is a sum of per-round means; `signed_weights` is
+    `weights * labels`.
+    """
+
+    features: np.ndarray   # (N, d)
+    labels: np.ndarray     # (N,) in {-1, +1}
+    protected: np.ndarray  # (N,) in {-1, +1}
+    offsets: np.ndarray    # (T + 1,) integers from 0 to N
+    weights: np.ndarray = field(init=False, repr=False)
+    signed_weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x, y, s = _checked_rows(self.features, self.labels, self.protected)
+        offsets = np.asarray(self.offsets)
+        if (offsets.ndim != 1 or offsets.size < 2 or offsets.dtype.kind not in "iu"
+                or offsets[0] != 0 or offsets[-1] != x.shape[0]):
+            raise ConfigurationError("round offsets must be integers from 0 to the number of rows")
+        sizes = np.diff(offsets)
+        if (sizes < 1).any():
+            raise DegenerateInputError(f"empty batch at round {int(np.argmax(sizes < 1)) + 1}")
+        weights = np.repeat(1.0 / sizes, sizes)
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "protected", s)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "signed_weights", weights * y)
+
+    @classmethod
+    def from_batches(cls, batches) -> "Rounds":
+        return cls(np.vstack([b.features for b in batches]),
+                   np.concatenate([b.labels for b in batches]),
+                   np.concatenate([b.protected for b in batches]),
+                   np.cumsum([0] + [b.size for b in batches]))
+
+    @property
+    def n_rounds(self) -> int:
+        return self.offsets.size - 1
+
+    def window(self, start: int, stop: int) -> "Rounds":
+        """Rounds start..stop-1 as views of these rows; they are valid because self is."""
+        a, b = self.offsets[start], self.offsets[stop]
+        win = object.__new__(Rounds)
+        win.__dict__.update(
+            features=self.features[a:b], labels=self.labels[a:b],
+            protected=self.protected[a:b], offsets=self.offsets[start:stop + 1] - a,
+            weights=self.weights[a:b], signed_weights=self.signed_weights[a:b])
+        return win
 
 
 @dataclass(frozen=True)
@@ -107,11 +170,11 @@ class LossSpec:
             raise ConfigurationError("l2_coefficient must be >= 0")
 
 
-def scores(theta: np.ndarray, batch: TaskBatch) -> np.ndarray:
+def scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (batch.dim,):
+    if theta.shape[-1:] != features.shape[1:]:
         raise ConfigurationError("dimension mismatch between theta and batch")
-    return theta @ batch.features.T
+    return theta @ features.T
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -121,15 +184,22 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 def loss(theta: np.ndarray, batch: TaskBatch, spec: LossSpec):
     """Mean logistic loss with an l2 ridge term, per row of theta."""
-    z = scores(theta, batch)
-    data = np.mean(_log1pexp(-batch.labels * z), axis=-1)
+    return rows_loss(theta, batch.features, batch.labels, spec)
+
+
+def rows_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray, spec: LossSpec):
+    """`loss` on the rows `features` with `labels`, which need not form a TaskBatch."""
+    z = scores(theta, features)
+    data = np.mean(_log1pexp(-labels * z), axis=-1)
     return data + 0.5 * spec.l2_coefficient * (theta * theta).sum(axis=-1)
 
 
 def loss_grad(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> np.ndarray:
-    z = scores(theta, batch)
-    # d/dz log(1+exp(-yz)) = -y * sigmoid(-yz)
-    sig = 1.0 / (1.0 + np.exp(batch.labels * z))
+    z = scores(theta, batch.features)
+    # d/dz log(1+exp(-yz)) = -y * sigmoid(-yz); exp overflows to inf where
+    # sigmoid(-yz) is 0, and 1 / (1 + inf) gives that 0
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(batch.labels * z))
     g = -(batch.labels * sig) @ batch.features / batch.size
     return g + spec.l2_coefficient * np.asarray(theta, dtype=float)
 

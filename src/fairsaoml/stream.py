@@ -102,15 +102,15 @@ class CsvSchema:
 
 
 def save_csv(stream: Sequence[TaskBatch], path: str) -> None:
+    """Features f0.., then s, y and t, comma-separated with CRLF line ends."""
+    dim = stream[0].dim
+    row = ",".join([CSV_FLOAT_FORMAT] * dim + ["%d"] * 3) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(stream[0].dim)] + ["s", "y", "t"])
+        fh.write(",".join([f"f{i}" for i in range(dim)] + ["s", "y", "t"]) + "\r\n")
         for batch in stream:
-            for i in range(batch.size):
-                row = [CSV_FLOAT_FORMAT % v for v in batch.features[i]]
-                row += [str(int(batch.protected[i])), str(int(batch.labels[i])),
-                        str(int(batch.round))]
-                writer.writerow(row)
+            t = int(batch.round)
+            fh.writelines(row % (*f, s, y, t) for f, s, y in zip(
+                batch.features.tolist(), batch.protected.tolist(), batch.labels.tolist()))
 
 
 def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
@@ -127,7 +127,7 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
         for name in needed:
             if name not in col_index:
                 raise IngestionError(f"missing column {name!r}")
-        rows = []
+        rows, seen = [], set()
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"row {row_no}: ragged row")
@@ -144,6 +144,11 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
                     t = int(row[col_index[schema.round_column]])
                 except ValueError:
                     raise IngestionError(f"row {row_no}: non-integer round value")
+                if t not in seen:
+                    seen.add(t)
+                elif t != rows[-1][0]:
+                    raise IngestionError(f"row {row_no}: round {t} reappears after round "
+                                         f"{rows[-1][0]}; each round's rows must be contiguous")
             else:
                 t = len(rows) // schema.batch_size + 1
             rows.append((t, feats, y, s))

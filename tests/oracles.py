@@ -6,12 +6,16 @@ pool is a dict of per-expert records keyed by length, expert weights come
 from the closed-form potential, the meta objective is evaluated
 directly for finite differences, the meta gradients are summed expert by
 expert, the batch split takes set differences and builds each part through
-the validating `TaskBatch` constructor, and the drift stream of the
-acceptance criteria is built from its specification.
+the validating `TaskBatch` constructor, the drift stream of the
+acceptance criteria is built from its specification, and the regret solver
+takes one `TaskBatch` per round and stacks each window's rows again. The CSV
+writer formats value by value through `csv.writer`, and `metrics.csv` is
+reduced one round and one column at a time.
 """
+import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,10 +23,12 @@ from fairsaoml.errors import (ConfigurationError, DegenerateInputError,
                               InternalConsistencyError)
 from fairsaoml.experts import GradientBoundConsts
 from fairsaoml.intervals import AGC, DI, IntervalScheme, ilog
+from fairsaoml.metrics import (EXHAUSTIVE_WINDOW_LIMIT, SOLVER_MAX_ITER, SOLVER_TOL,
+                               RegretReport, SolverResult, WindowResult)
 from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
                                   TaskBatch, loss)
-from fairsaoml.optimizer import (LagrangianConfig, constraint_values,
-                                 interval_lagrangian_theta_grad)
+from fairsaoml.optimizer import (Ball, LagrangianConfig, constraint_values,
+                                 interval_lagrangian_theta_grad, project_ball)
 from fairsaoml.stream import EnvSpec, StreamSpec
 
 
@@ -240,3 +246,134 @@ def default_drift_spec(tasks_per_env: int, seed: int = 0,
         batch_size=batch_size,
         seed=seed,
     )
+
+
+def offline_minimizer_by_batches(batches: Sequence[TaskBatch], loss_spec: LossSpec,
+                                 ball: Ball) -> SolverResult:
+    """`metrics.offline_minimizer` over one TaskBatch per round, on a stacked copy."""
+    d = batches[0].dim
+    x = np.vstack([b.features for b in batches])
+    y = np.concatenate([b.labels for b in batches])
+    n_batches = len(batches)
+    w = np.concatenate([np.full(b.size, 1.0 / b.size) for b in batches])
+
+    def grad(theta: np.ndarray) -> np.ndarray:
+        z = x @ theta
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(y * z))
+        g = -((w * y * sig) @ x)
+        return g + n_batches * loss_spec.l2_coefficient * theta
+
+    hess_bound = 0.25 * np.linalg.eigvalsh((x * w[:, None]).T @ x)[-1] \
+        + n_batches * loss_spec.l2_coefficient
+    step0 = 1.0 / max(hess_bound, 1e-12)
+    theta = np.zeros(d)
+    g = grad(theta)
+    step = step0
+    residual = np.inf
+    for it in range(1, SOLVER_MAX_ITER + 1):
+        theta_new = project_ball(theta - step * g, ball)
+        g_new = grad(theta_new)
+        residual = float(np.linalg.norm(theta - project_ball(theta - step0 * g, ball)) / step0)
+        if residual <= SOLVER_TOL:
+            break
+        dx = theta_new - theta
+        dg = g_new - g
+        denom = float(dx @ dg)
+        step = float(dx @ dx) / denom if denom > 1e-18 else step0
+        step = min(max(step, 1e-3 * step0), 1e6 * step0)
+        theta, g = theta_new, g_new
+    residual = float(np.linalg.norm(theta - project_ball(theta - step0 * grad(theta), ball)) / step0)
+    return SolverResult(theta=theta, residual=residual, converged=residual <= SOLVER_TOL,
+                        iterations=it)
+
+
+def static_regret_by_batches(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
+                             loss_spec: LossSpec, ball: Ball):
+    """`metrics.static_regret`, evaluating the played losses on every call."""
+    if len(thetas) != len(batches):
+        raise ConfigurationError("one parameter per batch required")
+    sol = offline_minimizer_by_batches(batches, loss_spec, ball)
+    algo = sum(loss(th, b, loss_spec) for th, b in zip(thetas, batches))
+    best = sum(loss(sol.theta, b, loss_spec) for b in batches)
+    return algo - best, sol
+
+
+def fair_sar_estimate_by_batches(thetas: Sequence[np.ndarray], batches: Sequence[TaskBatch],
+                                 g_values, loss_spec: LossSpec, ball: Ball, tau: int,
+                                 stride: Optional[int] = None) -> RegretReport:
+    """`metrics.fair_sar_estimate` with a list slice of batches per window."""
+    T = len(batches)
+    if tau > T:
+        raise ConfigurationError("tau must be <= number of rounds")
+    if stride is None:
+        stride = 1 if T <= EXHAUSTIVE_WINDOW_LIMIT else max(1, tau // 4)
+    g_arr = np.asarray(list(g_values), dtype=float)
+    if g_arr.ndim == 1:
+        g_arr = g_arr[:, None]
+    m = g_arr.shape[1]
+    windows: List[WindowResult] = []
+    starts = list(range(0, T - tau + 1, stride))
+    if starts[-1] != T - tau:
+        starts.append(T - tau)
+    for s in starts:
+        sl = slice(s, s + tau)
+        regret, sol = static_regret_by_batches(thetas[sl], batches[sl], loss_spec, ball)
+        windows.append(WindowResult(start=s + 1, loss_regret=regret,
+                                    constraint_sums=[float(g_arr[sl, i].sum()) for i in range(m)],
+                                    solver_residual=sol.residual))
+    return RegretReport(
+        tau=tau, stride=stride, windows=windows,
+        max_loss_regret=max(wd.loss_regret for wd in windows),
+        max_constraint_sums=[max(wd.constraint_sums[i] for wd in windows) for i in range(m)],
+        approximate=any(wd.solver_residual > SOLVER_TOL for wd in windows),
+    )
+
+
+def read_trace_as_batches(path) -> tuple:
+    """The trace as a list of parameters, one validating TaskBatch per round, and
+    a list of constraint-value rows."""
+    with np.load(path) as data:
+        x, y, s = data["val_features"], data["val_labels"], data["val_protected"]
+        offsets, rounds = data["offsets"], data["rounds"]
+        thetas, g_prev = list(data["theta_prev"]), data["g_prev"].tolist()
+    batches = [TaskBatch(x[a:b], y[a:b], s[a:b], round=int(t))
+               for a, b, t in zip(offsets[:-1], offsets[1:], rounds)]
+    return thetas, batches, g_prev
+
+
+def save_csv_by_value(stream: Sequence[TaskBatch], path: str) -> None:
+    """`stream.save_csv`, formatting each value on its own and writing rows with csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(stream[0].dim)] + ["s", "y", "t"])
+        for batch in stream:
+            for i in range(batch.size):
+                row = ["%.17g" % v for v in batch.features[i]]
+                row += [str(int(batch.protected[i])), str(int(batch.labels[i])),
+                        str(int(batch.round))]
+                writer.writerow(row)
+
+
+def aggregate_metrics_csv_by_round(rep_dirs, out_path) -> None:
+    """`cli.aggregate_metrics_csv` with one np.mean and np.std per round and column."""
+    per_rep = []
+    for d in rep_dirs:
+        with open(d / "rounds.csv", newline="", encoding="utf-8") as fh:
+            per_rep.append(list(csv.DictReader(fh)))
+    cols = ["val_loss", "val_acc", "dp", "eo"]
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = ["t"]
+        for c in cols:
+            header += [f"mean_{c}", f"std_{c}"]
+        writer.writerow(header)
+        for i in range(len(per_rep[0])):
+            row = [per_rep[0][i]["t"]]
+            for c in cols:
+                vals = [float(rep[i][c]) for rep in per_rep if rep[i][c] != ""]
+                if vals:
+                    row += ["%.17g" % float(np.mean(vals)), "%.17g" % float(np.std(vals))]
+                else:
+                    row += ["", ""]
+            writer.writerow(row)

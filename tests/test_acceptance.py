@@ -16,8 +16,8 @@ from fairsaoml.engine import (MODE_SINGLE_EXPERT, AblationFlags, RunConfig,
                               SplitSizes, run)
 from fairsaoml.intervals import IntervalScheme, ilog, target_set
 from fairsaoml.metrics import (cumulative_violation, fair_sar_estimate,
-                               offline_minimizer)
-from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
+                               offline_minimizer, round_losses)
+from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, Rounds, TaskBatch,
                                   fairness_grad, fairness_inner_mean,
                                   fairness_value, loss, loss_grad)
 from fairsaoml.optimizer import (Ball, LagrangianConfig, interval_lagrangian,
@@ -287,7 +287,7 @@ def test_criterion_6_stationary_convergence():
                     split=SplitSizes(20, 40),
                     lagrangian=LagrangianConfig(eta1=0.002, eta2=0.002))
     records = checked_run(cfg, stream)
-    sol = offline_minimizer([r.validation for r in records], cfg.loss,
+    sol = offline_minimizer(Rounds.from_batches([r.validation for r in records]), cfg.loss,
                             Ball(cfg.radius()))
     dist = float(np.linalg.norm(records[-1].theta_current - sol.theta))
     elapsed = time.perf_counter() - t0
@@ -318,9 +318,9 @@ def _drift_run(kind, T, seed):
 
 def _drift_stats(kind, T, seed, tau=16):
     records = _drift_run(kind, T, seed)
-    rr = fair_sar_estimate([r.theta_prev for r in records],
-                           [r.validation for r in records],
-                           [r.g_prev for r in records],
+    val = Rounds.from_batches([r.validation for r in records])
+    rr = fair_sar_estimate(round_losses([r.theta_prev for r in records], val, LossSpec()),
+                           val, [r.g_prev for r in records],
                            LossSpec(), Ball(DRIFT_RADIUS),
                            tau=tau, stride=max(1, T // 12))
     cv = cumulative_violation([r.g_prev[0] for r in records])["raw"]

@@ -1,5 +1,9 @@
 import csv
 import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ import pytest
 from fairsaoml import __version__, cli
 from fairsaoml.engine import run
 from fairsaoml.intervals import IntervalScheme
-from oracles import expected_census
+from oracles import aggregate_metrics_csv_by_round, expected_census
+
+SRC = Path(cli.__file__).resolve().parents[1]  # the directory holding `fairsaoml`
 
 
 def write_config(tmp_path, **overrides):
@@ -188,6 +194,71 @@ class TestReport:
     def test_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--artifacts", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize("key, corrupt, message", [
+        ("val_features", lambda a: a.__setitem__((4, 1), np.nan), "non-finite feature"),
+        ("val_labels", lambda a: a.__setitem__(3, 0), "must be in {-1, +1}"),
+        ("offsets", lambda a: a.__setitem__(2, a[1]), "empty batch at round 2"),
+    ])
+    def test_corrupt_trace_exits_2(self, tmp_path, capsys, key, corrupt, message):
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        trace = tmp_path / "out" / "rep2" / "trace.npz"
+        with np.load(trace) as data:
+            arrays = dict(data)
+        corrupt(arrays[key])
+        np.savez(trace, **arrays)
+        capsys.readouterr()
+        assert cli.main(["report", "--artifacts", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+    def test_report_leaves_jsonschema_unimported(self, tmp_path):
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        code = ("import sys; from fairsaoml.cli import main; "
+                f"assert main(['report', '--artifacts', {str(tmp_path / 'out')!r}]) == 0; "
+                "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5, 7, 8, 12])
+    def test_metrics_csv_matches_per_round_reduction(self, tmp_path, reps):
+        """Below 8 repetitions the column reductions add in the same order as one
+        np.mean/np.std per round, so the file is the same byte for byte; from 8 on,
+        pairwise summation may move the last bits (at most 4 ulps in a 2,000-column
+        sample), so the values agree to 8 machine epsilons."""
+        rng = np.random.default_rng(reps)
+        header = cli.rounds_csv_header(1)
+        dirs = []
+        for i in range(reps):
+            d = tmp_path / f"rep{i}"
+            d.mkdir()
+            with open(d / "rounds.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for t in range(1, 41):
+                    row = {c: "%.17g" % rng.lognormal() for c in header}
+                    row["t"] = str(t)
+                    row["dp"] = "" if t <= 5 or rng.random() < 0.4 else row["dp"]
+                    row["eo"] = "" if t % 7 == 0 else row["eo"]
+                    writer.writerow([row[c] for c in header])
+            dirs.append(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.aggregate_metrics_csv(dirs, tmp_path / "metrics.csv")
+        aggregate_metrics_csv_by_round(dirs, tmp_path / "oracle.csv")
+        got, want = read_rows(tmp_path / "metrics.csv"), read_rows(tmp_path / "oracle.csv")
+        assert all(r[5:7] == ["", ""] for r in got[1:6])  # no repetition has dp there
+        if reps < 8:
+            assert (tmp_path / "metrics.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert got[0] == want[0] and len(got) == len(want)
+        eps = np.finfo(float).eps
+        for a, b in zip(got[1:], want[1:]):
+            assert [v == "" for v in a] == [v == "" for v in b]
+            assert [float(v) for v in a if v] == pytest.approx([float(v) for v in b if v],
+                                                               rel=8 * eps, abs=0)
+
     def test_cumulative_violation_per_constraint(self, tmp_path):
         path, _ = write_config(tmp_path, reps=1,
                                fairness=[{"kind": "deo", "epsilon": 0.05},
@@ -232,15 +303,29 @@ class TestTrace:
         records = run(cli.build_run_config(cfg, cfg["seed"]), batches)
         assert len(records) >= 4
         cli.write_trace(records, tmp_path / "trace.npz")
-        thetas, batches, g_prev = cli.read_trace(tmp_path / "trace.npz")
-        assert len(thetas) == len(batches) == len(g_prev) == len(records)
-        for r, theta, batch, g in zip(records, thetas, batches, g_prev):
+        thetas, val, g_prev = cli.read_trace(tmp_path / "trace.npz")
+        assert len(thetas) == val.n_rounds == len(g_prev) == len(records)
+        o = val.offsets
+        for t, (r, theta, g) in enumerate(zip(records, thetas, g_prev)):
             assert np.array_equal(theta, r.theta_prev)
-            assert g == r.g_prev
-            assert np.array_equal(batch.features, r.validation.features)
-            assert np.array_equal(batch.labels, r.validation.labels)
-            assert np.array_equal(batch.protected, r.validation.protected)
-            assert batch.round == r.validation.round == r.t
+            assert g.tolist() == r.g_prev
+            rows = slice(o[t], o[t + 1])
+            assert np.array_equal(val.features[rows], r.validation.features)
+            assert np.array_equal(val.labels[rows], r.validation.labels)
+            assert np.array_equal(val.protected[rows], r.validation.protected)
+        with np.load(tmp_path / "trace.npz") as data:
+            assert data["rounds"].tolist() == [r.t for r in records]
+
+    def test_round_count_mismatch_rejected(self, tmp_path):
+        path, _ = write_config(tmp_path, reps=1)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        trace = tmp_path / "out" / "rep2" / "trace.npz"
+        with np.load(trace) as data:
+            arrays = dict(data)
+        arrays["theta_prev"] = arrays["theta_prev"][:-1]
+        np.savez(trace, **arrays)
+        with pytest.raises(cli.ConfigurationError, match="number of rounds"):
+            cli.read_trace(trace)
 
 
 class TestSweep:
@@ -325,6 +410,39 @@ class TestErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"scheme": "dgc"}))
         assert cli.main(["run", "--config", str(path)]) == 2
+
+    def test_zero_epsilon_needs_s_radius(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, fairness=[{"kind": "ddp", "epsilon": 0}])
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "fairness[0].epsilon" in err and "s_radius" in err
+        assert not (tmp_path / "out").exists()
+        path, _ = write_config(tmp_path, fairness=[{"kind": "ddp", "epsilon": 0}],
+                               s_radius=0.5)
+        assert cli.main(["run", "--config", str(path)]) == 0
+
+    def test_schema_error_message(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, n_meta=0)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid config: 0 is less than the minimum of 1\n"
+
+
+def test_config_schema_is_a_valid_schema():
+    """load_config validates instances only; the schema is checked here."""
+    from jsonschema.validators import validator_for
+    validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturated_sigmoid_emits_no_warning(tmp_path):
+    """Scores of 1e3 and steps of 1e6 overflow exp in the loss gradient and the
+    solver gradient; the sigmoid there is 0 and no RuntimeWarning may escape."""
+    env = {"n_tasks": 4, "dim": 4, "boundary": [1e3, 1e3, 0, 0], "group_bias": 0.5,
+           "noise": 0.05}
+    path, _ = write_config(tmp_path, reps=1, eta1=1e6, loss={"l2": 1e9},
+                           stream={"batch_size": 140, "environments": [env]})
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert cli.main(["report", "--artifacts", str(tmp_path / "out")]) == 0
 
 
 class TestFlags:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fairsaoml.errors import ConfigurationError, IngestionError
+from fairsaoml.model_core import TaskBatch
 from fairsaoml.stream import (CsvSchema, EnvSpec, StreamSpec, generate_stream,
                               load_csv, save_csv)
+from oracles import save_csv_by_value
 
 
 def spec(seed=0, noise=0.0, bias=0.5):
@@ -83,6 +85,17 @@ class TestCsvRoundTrip:
         save_csv(generate_stream(spec(seed=9)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_same_bytes_as_formatting_value_by_value(self, tmp_path):
+        stream = generate_stream(spec(seed=4, noise=0.1))
+        # values whose shortest %.17g forms differ in length and exponent style
+        x = np.array([[0.0, -0.0, 1e-300, 123456789.125], [1 / 3, -2.5e17, 5e-324, 1.0]])
+        stream.append(TaskBatch(x, [1, -1], [-1, 1], round=6))
+        save_csv(stream, str(tmp_path / "a.csv"))
+        save_csv_by_value(stream, str(tmp_path / "b.csv"))
+        data = (tmp_path / "a.csv").read_bytes()
+        assert data == (tmp_path / "b.csv").read_bytes()
+        assert data.count(b"\r\n") == 1 + sum(b.size for b in stream)
+
     def test_value_mapping(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b,s,y,t\n1,2,F,yes,1\n3,4,M,no,1\n")
@@ -135,6 +148,18 @@ class TestIngestionErrors:
         p.write_text("a,b,s,y,t\n1,zzz,1,1,1\n")
         with pytest.raises(IngestionError, match="row 2"):
             load_csv(str(p), self.schema())
+
+    @pytest.mark.parametrize("rounds, row", [("1,2,1", 4), ("1,1,2,1", 5), ("2,1,1,2", 5)])
+    def test_round_value_reappearing_is_named(self, tmp_path, rounds, row):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,s,y,t\n" + "".join(f"1,2,1,1,{t}\n" for t in rounds.split(",")))
+        with pytest.raises(IngestionError, match=f"row {row}: round"):
+            load_csv(str(p), self.schema())
+
+    def test_contiguous_rounds_in_any_order(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,s,y,t\n" + "".join(f"1,2,1,1,{t}\n" for t in (3, 3, 1, 2, 2)))
+        assert [b.size for b in load_csv(str(p), self.schema())] == [2, 1, 2]
 
     def test_unmappable_value(self, tmp_path):
         p = tmp_path / "u.csv"
