@@ -11,8 +11,8 @@ from . import hedge
 from .errors import ConfigurationError, NumericalFailureError
 from .experts import ExpertPool, GradientBoundConsts, update_g_bound
 from .intervals import AGC, IntervalScheme, target_set
-from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, loss, scores,
-                         split_batch)
+from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch, fairness_constraints,
+                         loss, scores, split_batch)
 from .metrics import demographic_parity, equalized_odds
 from .optimizer import (Ball, LagrangianConfig, constraint_values, inner_adapt,
                         interval_lagrangian, meta_update)
@@ -93,8 +93,7 @@ def _split_seed(seed: int, t: int, n: int) -> int:
     return int(np.random.SeedSequence([seed, t, n]).generate_state(1)[0])
 
 
-def _telemetry(theta: np.ndarray, validation: TaskBatch, loss_spec: LossSpec,
-               fairness: Sequence[FairnessSpec]):
+def _telemetry(theta: np.ndarray, validation: TaskBatch, loss_spec: LossSpec, cons: tuple):
     z = scores(theta, validation.features)
     preds = np.where(z >= 0.0, 1, -1)
     return (
@@ -102,7 +101,7 @@ def _telemetry(theta: np.ndarray, validation: TaskBatch, loss_spec: LossSpec,
         float(np.mean(preds == validation.labels)),
         demographic_parity(preds, validation.protected),
         equalized_odds(preds, validation.labels, validation.protected),
-        [float(v) for v in constraint_values(theta, validation, fairness)],
+        [float(v) for v in constraint_values(theta, cons)],
     )
 
 
@@ -150,9 +149,10 @@ class Engine:
         base_split = split_batch(batch, cfg.split.support_per_class,
                                  cfg.split.query_size, _split_seed(cfg.seed, t, 0))
         validation = base_split.validation
+        val_cons = fairness_constraints(validation, cfg.fairness)
         theta_prev = self.meta.theta.copy()
-        val_loss, val_acc, dp, eo, g_prev = _telemetry(
-            theta_prev, validation, cfg.loss, cfg.fairness)
+        val_loss, val_acc, dp, eo, g_prev = _telemetry(theta_prev, validation, cfg.loss,
+                                                       val_cons)
 
         self._activate(t)
         weights = self._weights()
@@ -164,21 +164,23 @@ class Engine:
         for n in range(1, cfg.n_meta + 1):
             split_n = split_batch(batch, cfg.split.support_per_class,
                                   cfg.split.query_size, _split_seed(cfg.seed, t, n))
-            adapted = inner_adapt(self.meta, split_n.support, cfg.loss, cfg.fairness,
+            # without inner steps the support's constraints are never evaluated
+            support_cons = fairness_constraints(split_n.support, cfg.fairness) if steps else None
+            adapted = inner_adapt(self.meta, split_n.support, cfg.loss, support_cons,
                                   etas, steps)
             self.meta = meta_update(self.meta, weights, active, adapted, split_n.query,
-                                    cfg.loss, cfg.fairness, cfg.lagrangian, self.ball)
+                                    cfg.loss, fairness_constraints(split_n.query, cfg.fairness),
+                                    cfg.lagrangian, self.ball)
         pool.theta[active] = adapted.theta
         pool.lam[active] = adapted.lam
 
         # row 0 is the meta pair, then the pool in order
         stacked = ParamPair(np.vstack([self.meta.theta, pool.theta]),
                             np.vstack([self.meta.lam, pool.lam]))
-        values = interval_lagrangian(stacked, validation, cfg.loss, cfg.fairness)
+        values = interval_lagrangian(stacked, validation, cfg.loss, val_cons)
         pool.r, pool.c = hedge.update_rc(pool.r, pool.c, values[0], values[1:])
 
-        g_current = [float(v) for v in constraint_values(self.meta.theta, validation,
-                                                         cfg.fairness)]
+        g_current = [float(v) for v in constraint_values(self.meta.theta, val_cons)]
         n_active = int(active.sum())
         return RoundRecord(
             t=t,

@@ -1,4 +1,4 @@
-"""Data model, linear predictor, logistic loss, and group-fairness surrogates.
+"""Data model, linear predictor, logistic loss, and group-fairness constraint rows.
 
 All functions here are pure; batches and parameter pairs are treated as
 immutable once constructed. The model functions take one parameter row θ of
@@ -7,6 +7,7 @@ shape (d,) or K rows of shape (K, d), and reduce over the last axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -204,44 +205,28 @@ def loss_grad(theta: np.ndarray, batch: TaskBatch, spec: LossSpec) -> np.ndarray
     return g + spec.l2_coefficient * np.asarray(theta, dtype=float)
 
 
-def estimate_p1(batch: TaskBatch, kind: str) -> float:
-    """Empirical group proportion used by the fairness surrogate."""
-    if kind == DDP:
-        p1 = float(np.mean(batch.protected == 1))
-    elif kind == DEO:
-        if not (batch.labels == 1).any():
+def fairness_constraints(batch: TaskBatch, specs: Sequence[FairnessSpec]) -> tuple:
+    """The constraints of `specs` on `batch` as rows A (m, d) and bounds eps (m,),
+    so that g_i(θ) = |θ @ a_i| − eps_i is the i-th linear disparity surrogate.
+
+    Row a_i is the mean feature under per-sample group weights
+    (1[s=+1] − p1) / (p1 (1 − p1)), with p1 the share of rows with s=+1; for
+    DEO, p1 counts only rows with y=+1 and s=+1, and rows with y=−1 weigh 0.
+    """
+    positive = batch.labels == 1
+    group = batch.protected == 1
+    weights = []
+    for spec in specs:
+        deo = spec.kind == DEO
+        if deo and not positive.any():
             raise DegenerateGroupError("DEO requires at least one sample with y=+1")
-        p1 = float(np.mean((batch.labels == 1) & (batch.protected == 1)))
-    else:
-        raise ConfigurationError(f"unknown fairness kind {kind!r}")
-    if p1 <= 0.0 or p1 >= 1.0:
-        raise DegenerateGroupError("fairness surrogate undefined: p1 in {0, 1}")
-    return p1
-
-
-def fairness_direction(batch: TaskBatch, kind: str) -> np.ndarray:
-    """The vector a with weighted mean score θ @ a: the mean feature under
-    per-sample group weights, which are zero outside the y=+1 subset for DEO."""
-    p1 = estimate_p1(batch, kind)
-    w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
-    if kind == DEO:
-        w = np.where(batch.labels == 1, w, 0.0)
-    return (w @ batch.features) / batch.size
-
-
-def fairness_inner_mean(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
-    return np.asarray(theta, dtype=float) @ fairness_direction(batch, spec.kind)
-
-
-def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
-    """Linear disparity surrogate: |weighted mean score| - epsilon."""
-    return np.abs(fairness_inner_mean(theta, batch, spec)) - spec.epsilon
-
-
-def fairness_grad(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> np.ndarray:
-    """Subgradient of the surrogate, with sign(0) := 0 at the kink."""
-    a = fairness_direction(batch, spec.kind)
-    return np.multiply.outer(np.sign(np.asarray(theta, dtype=float) @ a), a)
+        p1 = float(np.mean(group & positive if deo else group))
+        if p1 <= 0.0 or p1 >= 1.0:
+            raise DegenerateGroupError("fairness surrogate undefined: p1 in {0, 1}")
+        w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
+        weights.append(np.where(positive, w, 0.0) if deo else w)
+    rows = (np.stack(weights) @ batch.features) / batch.size
+    return rows, np.array([spec.epsilon for spec in specs])
 
 
 VALIDATION, SUPPORT, QUERY = 0, 1, 2  # row roles in split_batch

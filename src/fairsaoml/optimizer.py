@@ -1,17 +1,17 @@
 """Primal-dual base learner, augmented meta objective, and projected meta update.
 
-The experts of a pool are adapted and combined as (K, d) array steps.
+The experts of a pool are adapted and combined as (K, d) array steps. A
+batch's fairness constraints come as `cons`, the rows A (m, d) and bounds
+ε (m,) that `model_core.fairness_constraints` builds for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalFailureError
-from .model_core import (FairnessSpec, LossSpec, ParamPair, TaskBatch,
-                         fairness_grad, fairness_value, loss, loss_grad)
+from .model_core import LossSpec, ParamPair, TaskBatch, loss, loss_grad
 
 
 @dataclass(frozen=True)
@@ -46,29 +46,26 @@ def project_ball(theta: np.ndarray, ball: Ball) -> np.ndarray:
     return theta * (ball.radius / norm)
 
 
-def constraint_values(theta: np.ndarray, batch: TaskBatch,
-                      fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
-    return np.stack([fairness_value(theta, batch, fs) for fs in fairness_specs], axis=-1)
+def constraint_values(theta: np.ndarray, cons: tuple) -> np.ndarray:
+    """|θ @ Aᵀ| − ε: one value per constraint, for each row of θ."""
+    rows, eps = cons
+    return np.abs(theta @ rows.T) - eps
 
 
-def interval_lagrangian(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec,
-                        fairness_specs: Sequence[FairnessSpec]):
-    g = constraint_values(pair.theta, batch, fairness_specs)
+def interval_lagrangian(pair: ParamPair, batch: TaskBatch, loss_spec: LossSpec, cons: tuple):
+    g = constraint_values(pair.theta, cons)
     return loss(pair.theta, batch, loss_spec) + (pair.lam * g).sum(axis=-1)
 
 
 def interval_lagrangian_theta_grad(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch,
-                                   loss_spec: LossSpec,
-                                   fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
-    grad = loss_grad(theta, batch, loss_spec)
-    for i, fs in enumerate(fairness_specs):
-        grad = grad + lam[..., i, None] * fairness_grad(theta, batch, fs)
-    return grad
+                                   loss_spec: LossSpec, cons: tuple) -> np.ndarray:
+    """Subgradient in θ, with sign(0) := 0 at each constraint's kink."""
+    rows, _ = cons
+    return loss_grad(theta, batch, loss_spec) + (lam * np.sign(theta @ rows.T)) @ rows
 
 
-def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
-                fairness_specs: Sequence[FairnessSpec], etas: np.ndarray,
-                steps: int) -> ParamPair:
+def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec, cons: tuple,
+                etas: np.ndarray, steps: int) -> ParamPair:
     """Alternating primal-dual gradient steps of the interval Lagrangian, one
     row per step size, every row starting from the meta pair.
 
@@ -79,17 +76,16 @@ def inner_adapt(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
     theta = np.repeat(meta.theta[None], len(etas), axis=0)
     lam = np.repeat(meta.lam[None], len(etas), axis=0)
     for _ in range(steps):
-        theta = theta - etas * interval_lagrangian_theta_grad(theta, lam, support, loss_spec,
-                                                               fairness_specs)
-        lam = np.maximum(lam + etas * constraint_values(theta, support, fairness_specs), 0.0)
+        theta = theta - etas * interval_lagrangian_theta_grad(theta, lam, support, loss_spec, cons)
+        lam = np.maximum(lam + etas * constraint_values(theta, cons), 0.0)
         if not (np.isfinite(theta).all() and np.isfinite(lam).all()):
             raise NumericalFailureError("non-finite iterate in inner adaptation")
     return ParamPair(theta, lam)
 
 
 def meta_gradients(weights: np.ndarray, active: np.ndarray, adapted: ParamPair,
-                   meta: ParamPair, query: TaskBatch, loss_spec: LossSpec,
-                   fairness_specs: Sequence[FairnessSpec], config: LagrangianConfig):
+                   meta: ParamPair, query: TaskBatch, loss_spec: LossSpec, cons: tuple,
+                   config: LagrangianConfig):
     """Meta-level (grad_theta, grad_lambda) of the augmented objective.
 
     `weights` and the boolean `active` mask cover the whole pool; `adapted`
@@ -101,18 +97,17 @@ def meta_gradients(weights: np.ndarray, active: np.ndarray, adapted: ParamPair,
     damping = config.dual_damping
     w = weights[active]
     g_theta = w @ interval_lagrangian_theta_grad(adapted.theta, adapted.lam, query,
-                                                 loss_spec, fairness_specs)
-    g = constraint_values(adapted.theta, query, fairness_specs)
+                                                 loss_spec, cons)
+    g = constraint_values(adapted.theta, cons)
     g_lambda = w @ (g - damping * adapted.lam) - weights[~active].sum() * damping * meta.lam
     return g_theta, g_lambda
 
 
 def meta_update(meta: ParamPair, weights: np.ndarray, active: np.ndarray,
-                adapted: ParamPair, query: TaskBatch, loss_spec: LossSpec,
-                fairness_specs: Sequence[FairnessSpec], config: LagrangianConfig,
-                ball: Ball) -> ParamPair:
+                adapted: ParamPair, query: TaskBatch, loss_spec: LossSpec, cons: tuple,
+                config: LagrangianConfig, ball: Ball) -> ParamPair:
     g_theta, g_lambda = meta_gradients(weights, active, adapted, meta, query, loss_spec,
-                                       fairness_specs, config)
+                                       cons, config)
     theta = project_ball(meta.theta - config.eta1 * g_theta, ball)
     lam = np.maximum(meta.lam + config.eta2 * g_lambda, 0.0)
     if not (np.isfinite(theta).all() and np.isfinite(lam).all()):

@@ -5,7 +5,9 @@ Nothing in `fairsaoml` calls these: the interval family is enumerated as
 pool is a dict of per-expert records keyed by length, expert weights come
 from the closed-form potential, the meta objective is evaluated
 directly for finite differences, the meta gradients are summed expert by
-expert, the batch split takes set differences and builds each part through
+expert, the fairness constraints are evaluated one spec at a time from the
+closed-form group proportion p1 and direction a, the batch split takes set
+differences and builds each part through
 the validating `TaskBatch` constructor, the drift stream of the
 acceptance criteria is built from its specification, and the regret solver
 takes one `TaskBatch` per round and stacks each window's rows again. The CSV
@@ -19,16 +21,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fairsaoml.errors import (ConfigurationError, DegenerateInputError,
-                              InternalConsistencyError)
+from fairsaoml.errors import (ConfigurationError, DegenerateGroupError,
+                              DegenerateInputError, InternalConsistencyError)
 from fairsaoml.experts import GradientBoundConsts
 from fairsaoml.intervals import AGC, DI, IntervalScheme, ilog
 from fairsaoml.metrics import (EXHAUSTIVE_WINDOW_LIMIT, SOLVER_MAX_ITER, SOLVER_TOL,
                                RegretReport, SolverResult, WindowResult)
-from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
-                                  TaskBatch, loss)
-from fairsaoml.optimizer import (Ball, LagrangianConfig, constraint_values,
-                                 interval_lagrangian_theta_grad, project_ball)
+from fairsaoml.model_core import (DDP, DEO, BatchSplit, FairnessSpec, LossSpec,
+                                  ParamPair, TaskBatch, loss, loss_grad)
+from fairsaoml.optimizer import Ball, LagrangianConfig, project_ball
 from fairsaoml.stream import EnvSpec, StreamSpec
 
 
@@ -167,6 +168,72 @@ def raw_weight(r: float, c: float) -> float:
     return 0.5 * (phi(r + 1.0, c + 1.0) - phi(r - 1.0, c - 1.0))
 
 
+def estimate_p1(batch: TaskBatch, kind: str) -> float:
+    """Empirical group proportion used by the fairness surrogate."""
+    if kind == DDP:
+        p1 = float(np.mean(batch.protected == 1))
+    elif kind == DEO:
+        if not (batch.labels == 1).any():
+            raise DegenerateGroupError("DEO requires at least one sample with y=+1")
+        p1 = float(np.mean((batch.labels == 1) & (batch.protected == 1)))
+    else:
+        raise ConfigurationError(f"unknown fairness kind {kind!r}")
+    if p1 <= 0.0 or p1 >= 1.0:
+        raise DegenerateGroupError("fairness surrogate undefined: p1 in {0, 1}")
+    return p1
+
+
+def fairness_direction(batch: TaskBatch, kind: str) -> np.ndarray:
+    """The vector a with weighted mean score θ @ a: the mean feature under
+    per-sample group weights, which are zero outside the y=+1 subset for DEO."""
+    p1 = estimate_p1(batch, kind)
+    w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
+    if kind == DEO:
+        w = np.where(batch.labels == 1, w, 0.0)
+    return (w @ batch.features) / batch.size
+
+
+def fairness_inner_mean(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
+    return np.asarray(theta, dtype=float) @ fairness_direction(batch, spec.kind)
+
+
+def fairness_value(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec):
+    """Linear disparity surrogate: |weighted mean score| - epsilon."""
+    return np.abs(fairness_inner_mean(theta, batch, spec)) - spec.epsilon
+
+
+def fairness_grad(theta: np.ndarray, batch: TaskBatch, spec: FairnessSpec) -> np.ndarray:
+    """Subgradient of the surrogate, with sign(0) := 0 at the kink."""
+    a = fairness_direction(batch, spec.kind)
+    return np.multiply.outer(np.sign(np.asarray(theta, dtype=float) @ a), a)
+
+
+def constraint_values_by_spec(theta: np.ndarray, batch: TaskBatch,
+                              fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
+    """`optimizer.constraint_values`, one spec at a time."""
+    return np.stack([fairness_value(theta, batch, fs) for fs in fairness_specs], axis=-1)
+
+
+def theta_grad_by_spec(theta: np.ndarray, lam: np.ndarray, batch: TaskBatch,
+                       loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec]) -> np.ndarray:
+    """`optimizer.interval_lagrangian_theta_grad`, one spec at a time."""
+    grad = loss_grad(theta, batch, loss_spec)
+    for i, fs in enumerate(fairness_specs):
+        grad = grad + lam[..., i, None] * fairness_grad(theta, batch, fs)
+    return grad
+
+
+def inner_adapt_by_spec(meta: ParamPair, support: TaskBatch, loss_spec: LossSpec,
+                        fairness_specs: Sequence[FairnessSpec], eta: float, steps: int):
+    """`optimizer.inner_adapt` for one step size, one spec at a time: (θ, λ)."""
+    theta, lam = meta.theta, meta.lam
+    for _ in range(steps):
+        theta = theta - eta * theta_grad_by_spec(theta, lam, support, loss_spec, fairness_specs)
+        lam = np.maximum(lam + eta * constraint_values_by_spec(theta, support, fairness_specs),
+                         0.0)
+    return theta, lam
+
+
 def meta_lagrangian(weights: Sequence[float], pairs: ParamPair, query: TaskBatch,
                     loss_spec: LossSpec, fairness_specs: Sequence[FairnessSpec],
                     config: LagrangianConfig) -> float:
@@ -175,7 +242,7 @@ def meta_lagrangian(weights: Sequence[float], pairs: ParamPair, query: TaskBatch
     c = 0.5 * config.dual_damping
     total = 0.0
     for w, theta, lam in zip(weights, pairs.theta, pairs.lam):
-        g = constraint_values(theta, query, fairness_specs)
+        g = constraint_values_by_spec(theta, query, fairness_specs)
         total += w * (loss(theta, query, loss_spec) + float(lam @ g) - c * float(lam @ lam))
     return total
 
@@ -194,9 +261,9 @@ def meta_gradients_by_expert(weights: Sequence[float], active: Sequence[bool],
     for w, is_active in zip(weights, active):
         if is_active:
             theta, lam = next(rows)
-            g_theta += w * interval_lagrangian_theta_grad(theta, lam, query, loss_spec,
-                                                          fairness_specs)
-            g_lambda += w * (constraint_values(theta, query, fairness_specs) - damping * lam)
+            g_theta += w * theta_grad_by_spec(theta, lam, query, loss_spec, fairness_specs)
+            g_lambda += w * (constraint_values_by_spec(theta, query, fairness_specs)
+                             - damping * lam)
         else:
             g_lambda += w * (-damping * meta.lam)
     return g_theta, g_lambda

@@ -18,10 +18,10 @@ from fairsaoml.intervals import IntervalScheme, ilog, target_set
 from fairsaoml.metrics import (cumulative_violation, fair_sar_estimate,
                                offline_minimizer, round_losses)
 from fairsaoml.model_core import (FairnessSpec, LossSpec, ParamPair, Rounds, TaskBatch,
-                                  fairness_grad, fairness_inner_mean,
-                                  fairness_value, loss, loss_grad)
-from fairsaoml.optimizer import (Ball, LagrangianConfig, interval_lagrangian,
-                                 interval_lagrangian_theta_grad, meta_gradients)
+                                  fairness_constraints, loss, loss_grad)
+from fairsaoml.optimizer import (Ball, LagrangianConfig, constraint_values,
+                                 interval_lagrangian, interval_lagrangian_theta_grad,
+                                 meta_gradients)
 from fairsaoml.stream import EnvSpec, StreamSpec, generate_stream
 from oracles import (default_drift_spec, enumerate_full_set, expected_census,
                      intervals, meta_lagrangian, phi, raw_weight)
@@ -189,10 +189,10 @@ def _central_fd(f, theta, h=1e-6):
     return g
 
 
-def _non_kink_point(rng, batch, specs, d):
+def _non_kink_point(rng, rows, d):
     for _ in range(200):
         theta = rng.standard_normal(d) * 0.5
-        if all(abs(fairness_inner_mean(theta, batch, fs)) > 1e-3 for fs in specs):
+        if (np.abs(theta @ rows.T) > 1e-3).all():
             return theta
     raise AssertionError("could not sample a non-kink point")
 
@@ -206,18 +206,21 @@ def test_criterion_4_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         batch = _random_batch(rng, d=d)
-        theta = _non_kink_point(rng, batch, specs, d)
+        cons = fairness_constraints(batch, specs)
+        theta = _non_kink_point(rng, cons[0], d)
         lam = rng.uniform(0.1, 1.0, size=len(specs))
         pair = ParamPair(theta, lam)
+        grad = interval_lagrangian_theta_grad(theta, lam, batch, loss_spec, cons)
 
         checks = [
             (loss_grad(theta, batch, loss_spec),
              _central_fd(lambda th: loss(th, batch, loss_spec), theta)),
-            (fairness_grad(theta, batch, specs[0]),
-             _central_fd(lambda th: fairness_value(th, batch, specs[0]), theta)),
-            (interval_lagrangian_theta_grad(theta, lam, batch, loss_spec, specs),
+            # the constraint term λ·g(θ) on its own
+            (grad - loss_grad(theta, batch, loss_spec),
+             _central_fd(lambda th: lam @ constraint_values(th, cons), theta)),
+            (grad,
              _central_fd(lambda th: interval_lagrangian(ParamPair(th, lam),
-                                                        batch, loss_spec, specs),
+                                                        batch, loss_spec, cons),
                          theta)),
         ]
         # meta objective with every term pinned at the meta pair
@@ -229,7 +232,7 @@ def test_criterion_4_gradient_correctness():
 
         rows = ParamPair(np.tile(theta, (3, 1)), np.tile(lam, (3, 1)))
         g_theta, g_lambda = meta_gradients(weights, np.ones(3, dtype=bool), rows, pair,
-                                           batch, loss_spec, specs, lconf)
+                                           batch, loss_spec, cons, lconf)
         checks.append((g_theta, _central_fd(lambda th: meta_obj(th, lam), theta)))
         checks.append((g_lambda, _central_fd(lambda lm: meta_obj(theta, lm), lam)))
 

@@ -426,6 +426,24 @@ class TestErrors:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: invalid config: 0 is less than the minimum of 1\n"
 
+    def test_rare_group_aborts_the_run(self, tmp_path, capsys):
+        # one s=+1 row in three rounds of 20: round 1's validation rows or its
+        # support lack the group, so the DDP surrogate is undefined
+        rng = np.random.default_rng(0)
+        rows = ["f0,f1,s,y,t"] + [
+            f"{a:.6f},{b:.6f},{1 if (t, i) == (1, 7) else -1},{1 if i % 2 else -1},{t}"
+            for t in (1, 2, 3) for i, (a, b) in enumerate(rng.standard_normal((20, 2)))]
+        data = tmp_path / "rare.csv"
+        data.write_text("\n".join(rows) + "\n")
+        path, cfg = write_config(tmp_path, reps=1,
+                                 split={"support_per_class": 2, "query_size": 5})
+        del cfg["stream"]
+        cfg["csv"] = {"path": str(data), "feature_columns": ["f0", "f1"]}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: fairness surrogate undefined: p1 in {0, 1}\n"
+        assert not (tmp_path / "out" / "rep2").exists()
+
 
 def test_config_schema_is_a_valid_schema():
     """load_config validates instances only; the schema is checked here."""

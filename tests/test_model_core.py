@@ -10,9 +10,9 @@ from fairsaoml.errors import (ConfigurationError, DegenerateGroupError,
 from oracles import split_batch_by_setdiff
 
 from fairsaoml.model_core import (BatchSplit, FairnessSpec, LossSpec, ParamPair,
-                                  TaskBatch, estimate_p1, fairness_grad,
-                                  fairness_inner_mean, fairness_value, loss,
-                                  loss_grad, split_batch)
+                                  TaskBatch, fairness_constraints, loss, loss_grad,
+                                  split_batch)
+from fairsaoml.optimizer import constraint_values, interval_lagrangian_theta_grad
 
 RNG = np.random.default_rng(7)
 
@@ -128,6 +128,23 @@ class TestLoss:
 
 
 
+def constraint(batch, spec):
+    """The one-spec constraint pair (A, eps) of `spec` on `batch`."""
+    return fairness_constraints(batch, (spec,))
+
+
+def inner_mean(theta, batch, spec):
+    """θ @ a for the spec's row a: the weighted mean score."""
+    return theta @ constraint(batch, spec)[0][0]
+
+
+def surrogate_grad(theta, batch, spec):
+    """The θ-gradient of the surrogate: the Lagrangian's at λ = 1 less the loss's."""
+    loss_spec, lam = LossSpec(), np.ones(np.shape(theta)[:-1] + (1,))
+    return (interval_lagrangian_theta_grad(theta, lam, batch, loss_spec, constraint(batch, spec))
+            - loss_grad(theta, batch, loss_spec))
+
+
 class TestFairnessSurrogate:
     def test_ddp_hand_example(self):
         # p1 = 1/2, weights are +2 for s=+1 and -2 for s=-1
@@ -136,8 +153,8 @@ class TestFairnessSurrogate:
         spec = FairnessSpec("ddp", epsilon=0.05)
         th = np.array([0.1])
         # weighted scores: .2, .4, -.6, -.8 -> mean -0.2
-        assert fairness_inner_mean(th, b, spec) == pytest.approx(-0.2)
-        assert fairness_value(th, b, spec) == pytest.approx(0.2 - 0.05)
+        assert inner_mean(th, b, spec) == pytest.approx(-0.2)
+        assert constraint_values(th, constraint(b, spec))[0] == pytest.approx(0.2 - 0.05)
 
     def test_deo_ignores_negative_label_rows(self):
         x = np.array([[1.0], [5.0], [-3.0], [2.0]])
@@ -149,22 +166,33 @@ class TestFairnessSurrogate:
         w1 = (1 - p1) / (p1 * (1 - p1))
         w4 = (0 - p1) / (p1 * (1 - p1))
         expect = (w1 * 1.0 + w4 * 2.0) / 4.0
-        assert fairness_inner_mean(th, b, spec) == pytest.approx(expect)
+        assert inner_mean(th, b, spec) == pytest.approx(expect)
 
-    def test_estimate_p1_degenerate(self):
+    def test_degenerate_groups_raise(self):
         b = TaskBatch(np.zeros((3, 1)), [1, -1, 1], [1, 1, 1])
-        with pytest.raises(DegenerateGroupError):
-            estimate_p1(b, "ddp")
+        with pytest.raises(DegenerateGroupError,
+                           match=re.escape("fairness surrogate undefined: p1 in {0, 1}")):
+            constraint(b, FairnessSpec("ddp"))
         b2 = TaskBatch(np.zeros((3, 1)), [-1, -1, -1], [1, -1, 1])
-        with pytest.raises(DegenerateGroupError):
-            estimate_p1(b2, "deo")
+        with pytest.raises(DegenerateGroupError,
+                           match=re.escape("DEO requires at least one sample with y=+1")):
+            constraint(b2, FairnessSpec("deo"))
+
+    def test_first_degenerate_spec_names_the_error(self):
+        # no y=+1 row and one group only: each spec has its own message
+        b = TaskBatch(np.zeros((3, 1)), [-1, -1, -1], [1, 1, 1])
+        ddp, deo = FairnessSpec("ddp"), FairnessSpec("deo")
+        with pytest.raises(DegenerateGroupError, match="p1 in"):
+            fairness_constraints(b, (ddp, deo))
+        with pytest.raises(DegenerateGroupError, match="DEO requires"):
+            fairness_constraints(b, (deo, ddp))
 
     def test_value_scales_linearly_before_abs(self):
         b = random_batch(seed=11)
         spec = FairnessSpec("ddp", epsilon=0.0)
         th = RNG.standard_normal(b.dim)
-        v1 = fairness_inner_mean(th, b, spec)
-        v3 = fairness_inner_mean(3.0 * th, b, spec)
+        v1 = inner_mean(th, b, spec)
+        v3 = inner_mean(3.0 * th, b, spec)
         assert v3 == pytest.approx(3.0 * v1)
 
     def test_grad_matches_fd_off_kink(self):
@@ -173,16 +201,16 @@ class TestFairnessSurrogate:
             for kind in ("ddp", "deo"):
                 spec = FairnessSpec(kind, epsilon=0.05)
                 th = np.random.default_rng(seed).standard_normal(b.dim)
-                if abs(fairness_inner_mean(th, b, spec)) < 1e-3:
+                if abs(inner_mean(th, b, spec)) < 1e-3:
                     continue
-                fd = central_diff(lambda t: fairness_value(t, b, spec), th)
-                g = fairness_grad(th, b, spec)
+                fd = central_diff(lambda t: constraint_values(t, constraint(b, spec))[0], th)
+                g = surrogate_grad(th, b, spec)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
     def test_grad_zero_at_kink(self):
         b = random_batch(seed=2)
         spec = FairnessSpec("ddp")
-        assert np.all(fairness_grad(np.zeros(b.dim), b, spec) == 0.0)
+        assert np.all(surrogate_grad(np.zeros(b.dim), b, spec) == 0.0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -190,38 +218,41 @@ class TestFairnessSurrogate:
         b = random_batch(seed=seed)
         spec = FairnessSpec("ddp", epsilon=0.05)
         th = np.random.default_rng(seed).standard_normal(b.dim)
-        assert fairness_value(th, b, spec) >= -spec.epsilon
+        assert constraint_values(th, constraint(b, spec))[0] >= -spec.epsilon
 
     def test_weights_kept_per_kind_and_batch(self):
-        # the weights belong to one batch and one kind; a second kind on the
-        # same batch, or a subset batch, must not reuse them
+        # the group weights, and so the rows, belong to one batch and one kind; a
+        # second kind on the same batch, or a subset batch, must not reuse them
         b = random_batch(seed=5)
-        th = RNG.standard_normal(b.dim)
         ddp, deo = FairnessSpec("ddp", 0.0), FairnessSpec("deo", 0.0)
-        first = fairness_inner_mean(th, b, ddp)
-        assert fairness_inner_mean(th, b, deo) != first
-        assert fairness_inner_mean(th, b, ddp) == first
+        rows, eps = fairness_constraints(b, (ddp, deo, ddp))
+        assert rows.shape == (3, b.dim) and eps.shape == (3,)
+        assert not np.array_equal(rows[0], rows[1])
+        assert np.array_equal(rows[0], rows[2])
         sub = b.subset(np.arange(10))
         fresh = TaskBatch(sub.features, sub.labels, sub.protected)
-        assert fairness_inner_mean(th, sub, ddp) == fairness_inner_mean(th, fresh, ddp)
-        assert np.array_equal(fairness_grad(th, sub, deo), fairness_grad(th, fresh, deo))
+        for got, want in zip(fairness_constraints(sub, (ddp, deo)),
+                             fairness_constraints(fresh, (ddp, deo))):
+            assert np.array_equal(got, want)
 
     def test_rows_match_single_row_calls(self):
         b = random_batch(seed=9)
         thetas = np.random.default_rng(9).standard_normal((5, b.dim))
         spec, fair = LossSpec(l2_coefficient=0.1), FairnessSpec("deo", 0.05)
-        for fn, s in ((loss, spec), (loss_grad, spec), (fairness_inner_mean, fair),
-                      (fairness_value, fair), (fairness_grad, fair)):
-            out = fn(thetas, b, s)
+        for fn, args in ((loss, (b, spec)), (loss_grad, (b, spec)),
+                         (inner_mean, (b, fair)),
+                         (constraint_values, (constraint(b, fair),)),
+                         (surrogate_grad, (b, fair))):
+            out = fn(thetas, *args)
             assert len(out) == 5
             for row, theta in zip(out, thetas):
-                np.testing.assert_allclose(row, fn(theta, b, s), rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(row, fn(theta, *args), rtol=1e-13, atol=1e-15)
 
     def test_degenerate_batch_raises_on_every_call(self):
         b = TaskBatch(np.ones((3, 1)), [1, -1, 1], [1, 1, 1])
         for _ in range(2):
             with pytest.raises(DegenerateGroupError):
-                fairness_value(np.ones(1), b, FairnessSpec("ddp"))
+                constraint(b, FairnessSpec("ddp"))
 
 
 class TestSplit:
