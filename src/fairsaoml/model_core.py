@@ -223,7 +223,7 @@ def fairness_constraints(batch: TaskBatch, specs: Sequence[FairnessSpec]) -> tup
         p1 = float(np.mean(group & positive if deo else group))
         if p1 <= 0.0 or p1 >= 1.0:
             raise DegenerateGroupError("fairness surrogate undefined: p1 in {0, 1}")
-        w = ((batch.protected + 1) / 2.0 - p1) / (p1 * (1.0 - p1))
+        w = (group - p1) / (p1 * (1.0 - p1))
         weights.append(np.where(positive, w, 0.0) if deo else w)
     rows = (np.stack(weights) @ batch.features) / batch.size
     return rows, np.array([spec.epsilon for spec in specs])

@@ -16,6 +16,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from fairsaoml import cli
+
 HERE = Path(__file__).resolve().parent
 
 ENVIRONMENTS = [
@@ -61,8 +63,6 @@ CASES = {
 
 def run_case(name, workdir):
     """Run case `name` under `workdir`; returns {file name: text} of its golden files."""
-    from fairsaoml import cli
-
     cfg, flags = CASES[name]
     cfg = dict(cfg, out=str(workdir / "out"))
     if name == "csv":
