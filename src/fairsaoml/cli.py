@@ -6,7 +6,6 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
@@ -15,70 +14,80 @@ import numpy as np
 from . import __version__
 from .engine import (AblationFlags, MODE_FAIRSAOML, MODE_SINGLE_EXPERT,
                      RoundRecord, RunConfig, SplitSizes, run)
-from .errors import ConfigurationError, IngestionError, NumericalFailureError
-from .intervals import IntervalScheme
+from .errors import ConfigurationError, NumericalFailureError
+from .intervals import AGC, DGC, DI, IntervalScheme
 from .metrics import (cumulative_violation, eighty_percent_check,
                       fair_sar_estimate, round_losses, static_regret)
-from .model_core import FairnessSpec, LossSpec, Rounds, TaskBatch
+from .model_core import DDP, DEO, FairnessSpec, LossSpec, Rounds, TaskBatch
 from .optimizer import Ball, LagrangianConfig
-from .stream import CsvSchema, EnvSpec, StreamSpec, generate_stream, load_csv, save_csv
+from .stream import (FLOAT_FORMAT, CsvSchema, EnvSpec, StreamSpec, generate_stream, load_csv,
+                     save_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-FLOAT_FMT = "%.17g"
 
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["scheme"],
     "properties": {
-        "scheme": {"enum": ["di", "agc", "dgc"]},
-        "base": {"type": "integer", "minimum": 2},
-        "mode": {"enum": [MODE_FAIRSAOML, MODE_SINGLE_EXPERT]},
-        "n_meta": {"type": "integer", "minimum": 1},
-        "inner_steps": {"type": "integer", "minimum": 1},
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-        "eta1": {"type": "number", "exclusiveMinimum": 0},
-        "eta2": {"type": "number", "exclusiveMinimum": 0},
-        "s_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "scheme": {"enum": [DI, AGC, DGC]},
+        "base": {"type": "integer", "minimum": 2, "default": IntervalScheme.base},
+        "mode": {"enum": [MODE_FAIRSAOML, MODE_SINGLE_EXPERT], "default": RunConfig.mode},
+        "n_meta": {"type": "integer", "minimum": 1, "default": RunConfig.n_meta},
+        "inner_steps": {"type": "integer", "minimum": 1,
+                        "default": LagrangianConfig.inner_steps},
+        "delta": {"type": "number", "exclusiveMinimum": 0, "default": LagrangianConfig.delta},
+        "eta1": {"type": "number", "exclusiveMinimum": 0, "default": LagrangianConfig.eta1},
+        "eta2": {"type": "number", "exclusiveMinimum": 0, "default": LagrangianConfig.eta2},
+        "s_radius": {"type": ["number", "null"], "exclusiveMinimum": 0,
+                     "default": RunConfig.s_radius},
         "loss": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
-                "kind": {"enum": ["logistic"]},
-                "l2": {"type": "number", "minimum": 0},
+                "kind": {"enum": ["logistic"], "default": LossSpec.kind},
+                "l2": {"type": "number", "minimum": 0, "default": LossSpec.l2_coefficient},
             },
         },
         "fairness": {
             "type": "array",
             "minItems": 1,
+            "default": [{}],
             "items": {
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    "kind": {"enum": ["ddp", "deo"]},
-                    "epsilon": {"type": "number", "minimum": 0},
+                    "kind": {"enum": [DDP, DEO], "default": FairnessSpec.kind},
+                    "epsilon": {"type": "number", "minimum": 0,
+                                "default": FairnessSpec.epsilon},
                 },
             },
         },
         "split": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
-                "support_per_class": {"type": "integer", "minimum": 1},
-                "query_size": {"type": "integer", "minimum": 1},
+                "support_per_class": {"type": "integer", "minimum": 1,
+                                      "default": SplitSizes.support_per_class},
+                "query_size": {"type": "integer", "minimum": 1,
+                               "default": SplitSizes.query_size},
             },
         },
-        "seed": {"type": "integer"},
-        "reps": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer", "default": RunConfig.seed},
+        "reps": {"type": "integer", "minimum": 1, "default": 10},
         "ablation": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
-                "disable_weights": {"type": "boolean"},
-                "disable_base_learner": {"type": "boolean"},
+                "disable_weights": {"type": "boolean",
+                                    "default": AblationFlags.disable_weights},
+                "disable_base_learner": {"type": "boolean",
+                                         "default": AblationFlags.disable_base_learner},
             },
         },
         "stream": {
@@ -86,8 +95,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["environments"],
             "properties": {
-                "batch_size": {"type": "integer", "minimum": 4},
-                "seed": {"type": "integer"},
+                "batch_size": {"type": "integer", "minimum": 4, "default": 200},
+                "seed": {"type": "integer"},  # defaults to the top-level seed
                 "environments": {
                     "type": "array",
                     "minItems": 1,
@@ -99,15 +108,18 @@ CONFIG_SCHEMA = {
                             "n_tasks": {"type": "integer", "minimum": 1},
                             "dim": {"type": "integer", "minimum": 1},
                             "boundary": {"type": "array", "items": {"type": "number"}},
-                            "group_bias": {"type": "number"},
-                            "group_balance": {"type": "number",
-                                              "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                            "noise": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
+                            "group_bias": {"type": "number", "default": EnvSpec.group_bias},
+                            "group_balance": {"type": "number", "exclusiveMinimum": 0,
+                                              "exclusiveMaximum": 1,
+                                              "default": EnvSpec.group_balance},
+                            "noise": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5,
+                                      "default": EnvSpec.noise},
                         },
                     },
                 },
             },
         },
+        # CsvSchema holds the defaults of the optional csv keys
         "csv": {
             "type": "object",
             "additionalProperties": False,
@@ -126,35 +138,31 @@ CONFIG_SCHEMA = {
         "metrics": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
-                "tau": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "tail_fraction": {"type": "number",
-                                  "exclusiveMinimum": 0, "maximum": 1},
+                "tau": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                        "default": [16]},
+                "tail_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1,
+                                  "default": 0.25},
             },
         },
-        "out": {"type": "string"},
+        "out": {"type": "string", "default": "out"},
     },
 }
 
-# Library defaults come from the dataclasses; only reps, metrics and out are CLI-only.
-DEFAULTS = {
-    "base": IntervalScheme.base,
-    "mode": RunConfig.mode,
-    "n_meta": RunConfig.n_meta,
-    "inner_steps": LagrangianConfig.inner_steps,
-    "delta": LagrangianConfig.delta,
-    "eta1": LagrangianConfig.eta1,
-    "eta2": LagrangianConfig.eta2,
-    "s_radius": RunConfig.s_radius,
-    "loss": {"kind": LossSpec.kind, "l2": LossSpec.l2_coefficient},
-    "fairness": [asdict(FairnessSpec())],
-    "split": asdict(SplitSizes()),
-    "seed": RunConfig.seed,
-    "reps": 10,
-    "ablation": asdict(AblationFlags()),
-    "metrics": {"tau": [16], "tail_fraction": 0.25},
-    "out": "out",
-}
+
+def fill(schema: dict, value):
+    """`value` with the schema's defaults filled in at every level: an object
+    gets its defaults first, then its own keys."""
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        out = {k: fill(p, p["default"]) for k, p in props.items() if "default" in p}
+        for k, v in value.items():
+            out[k] = fill(props.get(k, {}), v)
+        return out
+    if isinstance(value, list):
+        return [fill(schema.get("items", {}), v) for v in value]
+    return value
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> dict:
@@ -170,40 +178,18 @@ def load_config(path: str, overrides: Optional[dict] = None) -> dict:
     error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
     if error is not None:
         raise ConfigurationError(f"invalid config: {error.message}")
-    cfg = dict(DEFAULTS)
-    for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            merged = dict(cfg[key])
-            merged.update(value)
-            cfg[key] = merged
-        else:
-            cfg[key] = value
-    if "stream" not in cfg and "csv" not in cfg:
+    if "stream" not in raw and "csv" not in raw:
         raise ConfigurationError("config must provide either 'stream' or 'csv'")
-    cfg["fairness"] = [{**asdict(FairnessSpec()), **f} for f in cfg["fairness"]]
+    cfg = fill(CONFIG_SCHEMA, raw)
     if "stream" in cfg:
-        stream = dict(cfg["stream"])
-        stream.setdefault("batch_size", 200)
-        stream.setdefault("seed", cfg["seed"])
-        envs = []
-        for env in stream["environments"]:
-            e = {"group_bias": EnvSpec.group_bias, "group_balance": EnvSpec.group_balance,
-                 "noise": EnvSpec.noise}
-            e.update(env)
-            envs.append(e)
-        stream["environments"] = envs
-        cfg["stream"] = stream
+        cfg["stream"].setdefault("seed", cfg["seed"])
     return cfg
 
 
 def build_stream_spec(cfg: dict) -> StreamSpec:
     s = cfg["stream"]
     return StreamSpec(
-        environments=tuple(EnvSpec(n_tasks=e["n_tasks"], dim=e["dim"],
-                                   boundary=tuple(e["boundary"]),
-                                   group_bias=e["group_bias"],
-                                   group_balance=e["group_balance"],
-                                   noise=e["noise"])
+        environments=tuple(EnvSpec(**{**e, "boundary": tuple(e["boundary"])})
                            for e in s["environments"]),
         batch_size=s["batch_size"],
         seed=s["seed"],
@@ -226,8 +212,7 @@ def build_run_config(cfg: dict, seed: int) -> RunConfig:
         lagrangian=LagrangianConfig(delta=cfg["delta"], eta1=cfg["eta1"],
                                     eta2=cfg["eta2"], inner_steps=cfg["inner_steps"]),
         loss=LossSpec(kind=cfg["loss"]["kind"], l2_coefficient=cfg["loss"]["l2"]),
-        fairness=tuple(FairnessSpec(kind=f["kind"], epsilon=f["epsilon"])
-                       for f in cfg["fairness"]),
+        fairness=tuple(FairnessSpec(**f) for f in cfg["fairness"]),
         split=SplitSizes(**cfg["split"]),
         seed=seed,
         ablation=AblationFlags(**cfg["ablation"]),
@@ -239,7 +224,7 @@ def build_run_config(cfg: dict, seed: int) -> RunConfig:
 def _fmt(value: Optional[float]) -> str:
     if value is None:
         return ""
-    return FLOAT_FMT % value
+    return FLOAT_FORMAT % value
 
 
 def rounds_csv_header(m: int) -> List[str]:
@@ -356,8 +341,7 @@ def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:
         json.dump(regret, fh, indent=2)
 
 
-def execute_run(cfg: dict, out_dir: Path) -> dict:
-    batches = build_batches(cfg)
+def execute_run(cfg: dict, out_dir: Path, batches: List[TaskBatch]) -> dict:
     seeds = [cfg["seed"] + i for i in range(cfg["reps"])]
     for seed in seeds:
         records = run(build_run_config(cfg, seed), batches)
@@ -414,7 +398,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, overrides(args))
-    manifest = execute_run(cfg, Path(cfg["out"]))
+    manifest = execute_run(cfg, Path(cfg["out"]), build_batches(cfg))
     print(f"completed {len(manifest['seeds'])} repetition(s) of {manifest['rounds']} rounds"
           f" -> {cfg['out']}")
     return EXIT_OK
@@ -426,12 +410,13 @@ def cmd_sweep_base(args: argparse.Namespace) -> int:
     if any(b < 2 for b in bases):
         raise ConfigurationError("bases must be integers >= 2")
     root = Path(cfg["out"])
+    batches = build_batches(cfg)
     summary = {}
     for base in bases:
         sub = dict(cfg)
         sub["base"] = base
         sub["out"] = str(root / f"base{base}")
-        manifest = execute_run(sub, Path(sub["out"]))
+        manifest = execute_run(sub, Path(sub["out"]), batches)
         last_rows = _read_rounds_csv(Path(sub["out"]) / f"rep{cfg['seed']}" / "rounds.csv")
         summary[str(base)] = {
             "rounds": manifest["rounds"],
@@ -451,7 +436,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not echo.exists():
         raise ConfigurationError(f"missing artifact file {echo}")
     with open(echo, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = fill(CONFIG_SCHEMA, json.load(fh))
     with open(art / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     for s in manifest["seeds"]:
@@ -478,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("gen-data")
     run_parser, sweep = command("run"), command("sweep-base")
     for p in (run_parser, sweep):
-        p.add_argument("--scheme", choices=["di", "agc", "dgc"])
+        p.add_argument("--scheme", choices=[DI, AGC, DGC])
         p.add_argument("--reps", type=int)
         p.add_argument("--ablation", choices=["weights", "base-learner", "both"])
         p.add_argument("--mode", choices=["fairsaoml", "single-expert"])
@@ -502,8 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, IngestionError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,7 +11,7 @@ from .errors import ConfigurationError, DegenerateInputError, IngestionError
 from .model_core import TaskBatch
 
 MAX_BATCH_RETRIES = 100
-CSV_FLOAT_FORMAT = "%.17g"
+FLOAT_FORMAT = "%.17g"  # round-trips every float64; also used for rounds.csv
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class CsvSchema:
 def save_csv(stream: Sequence[TaskBatch], path: str) -> None:
     """Features f0.., then s, y and t, comma-separated with CRLF line ends."""
     dim = stream[0].dim
-    row = ",".join([CSV_FLOAT_FORMAT] * dim + ["%d"] * 3) + "\r\n"
+    row = ",".join([FLOAT_FORMAT] * dim + ["%d"] * 3) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([f"f{i}" for i in range(dim)] + ["s", "y", "t"]) + "\r\n")
         for batch in stream:
@@ -127,18 +127,18 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
         for name in needed:
             if name not in col_index:
                 raise IngestionError(f"missing column {name!r}")
-        rows, seen = [], set()
+        rounds, feats, ys, ss, seen = [], [], [], [], set()
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"row {row_no}: ragged row")
             try:
-                feats = [float(row[col_index[c]]) for c in schema.feature_columns]
+                feats.append([float(row[col_index[c]]) for c in schema.feature_columns])
             except ValueError:
                 raise IngestionError(f"row {row_no}: non-numeric feature value")
-            s = schema.map_value(row[col_index[schema.protected_column]], row_no,
-                                 schema.protected_column)
-            y = schema.map_value(row[col_index[schema.label_column]], row_no,
-                                 schema.label_column)
+            ss.append(schema.map_value(row[col_index[schema.protected_column]], row_no,
+                                       schema.protected_column))
+            ys.append(schema.map_value(row[col_index[schema.label_column]], row_no,
+                                       schema.label_column))
             if schema.round_column is not None:
                 try:
                     t = int(row[col_index[schema.round_column]])
@@ -146,26 +146,16 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
                     raise IngestionError(f"row {row_no}: non-integer round value")
                 if t not in seen:
                     seen.add(t)
-                elif t != rows[-1][0]:
+                elif t != rounds[-1]:
                     raise IngestionError(f"row {row_no}: round {t} reappears after round "
-                                         f"{rows[-1][0]}; each round's rows must be contiguous")
+                                         f"{rounds[-1]}; each round's rows must be contiguous")
             else:
-                t = len(rows) // schema.batch_size + 1
-            rows.append((t, feats, y, s))
-    if not rows:
+                t = len(rounds) // schema.batch_size + 1
+            rounds.append(t)
+    if not rounds:
         raise IngestionError("file contains no data rows")
-    batches: List[TaskBatch] = []
-    current_t, feats, ys, ss = rows[0][0], [], [], []
-    for t, f, y, s in rows:
-        if t != current_t:
-            batches.append(TaskBatch(np.array(feats), np.array(ys), np.array(ss),
-                                     round=current_t))
-            current_t, feats, ys, ss = t, [], [], []
-        feats.append(f)
-        ys.append(y)
-        ss.append(s)
-    batches.append(TaskBatch(np.array(feats), np.array(ys), np.array(ss), round=current_t))
-    dims = {b.dim for b in batches}
-    if len(dims) != 1:
-        raise IngestionError("batches are not dimension-consistent")
-    return batches
+    # each round's rows are contiguous, so a batch starts wherever the round changes
+    starts = [i for i in range(1, len(rounds)) if rounds[i] != rounds[i - 1]]
+    return [TaskBatch(f, y, s, round=rounds[i]) for f, y, s, i in zip(
+        np.split(np.array(feats), starts), np.split(np.array(ys), starts),
+        np.split(np.array(ss), starts), [0] + starts)]

@@ -12,15 +12,21 @@ the validating `TaskBatch` constructor, the drift stream of the
 acceptance criteria is built from its specification, and the regret solver
 takes one `TaskBatch` per round and stacks each window's rows again. The CSV
 writer formats value by value through `csv.writer`, and `metrics.csv` is
-reduced one round and one column at a time.
+reduced one round and one column at a time. A config's defaults come from a
+dict of top-level defaults merged one level deep, then from a fill of its own
+for each `fairness` entry, each environment and the stream's `batch_size`
+and `seed`.
 """
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from fairsaoml.cli import CONFIG_SCHEMA
+from fairsaoml.engine import AblationFlags, RunConfig, SplitSizes
 from fairsaoml.errors import (ConfigurationError, DegenerateGroupError,
                               DegenerateInputError, InternalConsistencyError)
 from fairsaoml.experts import GradientBoundConsts
@@ -444,3 +450,60 @@ def aggregate_metrics_csv_by_round(rep_dirs, out_path) -> None:
                 else:
                     row += ["", ""]
             writer.writerow(row)
+
+
+CONFIG_DEFAULTS = {
+    "base": IntervalScheme.base,
+    "mode": RunConfig.mode,
+    "n_meta": RunConfig.n_meta,
+    "inner_steps": LagrangianConfig.inner_steps,
+    "delta": LagrangianConfig.delta,
+    "eta1": LagrangianConfig.eta1,
+    "eta2": LagrangianConfig.eta2,
+    "s_radius": RunConfig.s_radius,
+    "loss": {"kind": LossSpec.kind, "l2": LossSpec.l2_coefficient},
+    "fairness": [asdict(FairnessSpec())],
+    "split": asdict(SplitSizes()),
+    "seed": RunConfig.seed,
+    "reps": 10,
+    "ablation": asdict(AblationFlags()),
+    "metrics": {"tau": [16], "tail_fraction": 0.25},
+    "out": "out",
+}
+
+
+def load_config_by_blocks(path: str, overrides: Optional[dict] = None) -> dict:
+    """`cli.load_config` with defaults from CONFIG_DEFAULTS and one fill block per part."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if isinstance(raw, dict) and overrides:
+        raw.update(overrides)
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+    if error is not None:
+        raise ConfigurationError(f"invalid config: {error.message}")
+    cfg = dict(CONFIG_DEFAULTS)
+    for key, value in raw.items():
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            merged = dict(cfg[key])
+            merged.update(value)
+            cfg[key] = merged
+        else:
+            cfg[key] = value
+    if "stream" not in cfg and "csv" not in cfg:
+        raise ConfigurationError("config must provide either 'stream' or 'csv'")
+    cfg["fairness"] = [{**asdict(FairnessSpec()), **f} for f in cfg["fairness"]]
+    if "stream" in cfg:
+        stream = dict(cfg["stream"])
+        stream.setdefault("batch_size", 200)
+        stream.setdefault("seed", cfg["seed"])
+        envs = []
+        for env in stream["environments"]:
+            e = {"group_bias": EnvSpec.group_bias, "group_balance": EnvSpec.group_balance,
+                 "noise": EnvSpec.noise}
+            e.update(env)
+            envs.append(e)
+        stream["environments"] = envs
+        cfg["stream"] = stream
+    return cfg

@@ -11,7 +11,7 @@ import pytest
 from fairsaoml import __version__, cli
 from fairsaoml.engine import run
 from fairsaoml.intervals import IntervalScheme
-from oracles import aggregate_metrics_csv_by_round, expected_census
+from oracles import aggregate_metrics_csv_by_round, expected_census, load_config_by_blocks
 
 SRC = Path(cli.__file__).resolve().parents[1]  # the directory holding `fairsaoml`
 
@@ -293,6 +293,21 @@ class TestReport:
             assert cli.main(["report", "--artifacts", str(out)]) == 0
             assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_echo_without_metrics_and_loss(self, tmp_path):
+        # report fills an echo's missing keys from the schema defaults, as run does
+        path, cfg = write_config(tmp_path, reps=1)
+        del cfg["metrics"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        before = (out / "regret.json").read_bytes()
+        echo = json.loads((out / "config-echo.json").read_text())
+        del echo["metrics"], echo["loss"]
+        (out / "config-echo.json").write_text(json.dumps(echo))
+        (out / "regret.json").unlink()
+        assert cli.main(["report", "--artifacts", str(out)]) == 0
+        assert (out / "regret.json").read_bytes() == before
+
 
 class TestTrace:
     def test_round_trip_is_exact(self, tmp_path):
@@ -338,6 +353,19 @@ class TestSweep:
         assert (out / "base3" / "metrics.csv").exists()
         summary = json.loads((out / "sweep.json").read_text())
         assert set(summary) == {"2", "3"}
+
+    def test_csv_is_read_once(self, tmp_path, monkeypatch):
+        path, cfg = write_config(tmp_path, reps=1)
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(data)]) == 0
+        del cfg["stream"]
+        cfg["csv"] = {"path": str(data), "feature_columns": ["f0", "f1", "f2", "f3"]}
+        path.write_text(json.dumps(cfg))
+        calls = []
+        load_csv = cli.load_csv
+        monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append(a) or load_csv(*a))
+        assert cli.main(["sweep-base", "--config", str(path), "--bases", "2,3,4"]) == 0
+        assert len(calls) == 1
 
     def test_bad_base_rejected(self, tmp_path):
         path, cfg = write_config(tmp_path)
@@ -449,6 +477,20 @@ def test_config_schema_is_a_valid_schema():
     """load_config validates instances only; the schema is checked here."""
     from jsonschema.validators import validator_for
     validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_loaded_defaults_are_fresh(tmp_path):
+    """A default changed in one loaded config does not reach the next one."""
+    path, cfg = write_config(tmp_path)
+    del cfg["metrics"]
+    path.write_text(json.dumps(cfg))
+    first = cli.load_config(str(path))
+    first["metrics"]["tau"].append(99)
+    first["loss"]["l2"] = 1.0
+    first["split"]["query_size"] = 1
+    first["fairness"][0]["epsilon"] = 1.0
+    first["stream"]["environments"][0]["group_balance"] = 0.9
+    assert cli.load_config(str(path)) == load_config_by_blocks(str(path))
 
 
 @pytest.mark.filterwarnings("error")
