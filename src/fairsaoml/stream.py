@@ -12,6 +12,7 @@ from .model_core import TaskBatch
 
 MAX_BATCH_RETRIES = 100
 FLOAT_FORMAT = "%.17g"  # round-trips every float64; also used for rounds.csv
+DEFAULT_MAPPING = {"-1": -1, "1": 1, "+1": 1}  # raw protected and label values -> {-1, +1}
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,18 @@ class CsvSchema:
         if self.round_column is None and self.batch_size is None:
             raise ConfigurationError("a CSV without a round column needs a batch_size")
 
+    @property
+    def columns(self) -> list:
+        """The columns the file must have."""
+        return (list(self.feature_columns) + [self.protected_column, self.label_column]
+                + [c for c in [self.round_column] if c is not None])
+
+    @property
+    def table(self) -> Dict[str, int]:
+        return self.mapping or DEFAULT_MAPPING
+
     def map_value(self, raw: str, row_no: int, column: str) -> int:
-        table = self.mapping or {"-1": -1, "1": 1, "+1": 1}
+        table = self.table
         if raw not in table:
             raise IngestionError(f"row {row_no}: unmappable value {raw!r} in column {column}")
         v = table[raw]
@@ -114,6 +125,92 @@ def save_csv(stream: Sequence[TaskBatch], path: str) -> None:
 
 
 def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
+    """The file's rows as one TaskBatch per round.
+
+    One `np.loadtxt` call parses the file, and the batches are views cut where
+    the round changes. Where that parse fails, or the file holds anything that
+    `csv.reader` and `float`/`int` might read differently, the row loop
+    `_load_csv_rows` reads it instead, so its semantics and its row-numbered
+    IngestionErrors hold for every file.
+    """
+    import warnings
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data rows; any warning sends the file to the row loop
+            warnings.simplefilter("error")
+            columns = _parse_columns(path, schema)
+    except (ValueError, OverflowError, Warning):
+        columns = None
+    return _load_csv_rows(path, schema) if columns is None else _batches(*columns)
+
+
+def _batches(x, y, s, starts, rounds) -> List[TaskBatch]:
+    """Rows x, y, s cut at `starts` into batches numbered `rounds`."""
+    return [TaskBatch(*rows, round=t) for *rows, t in zip(
+        np.split(x, starts), np.split(y, starts), np.split(s, starts), rounds)]
+
+
+def _parse_columns(path: str, schema: CsvSchema):
+    """`_batches`' arguments from one `np.loadtxt` call, or None where the row
+    loop might read the file differently."""
+    table = schema.table
+    with open(path, encoding="utf-8") as fh:  # \r and \r\n read as \n, as csv splits rows
+        last = ""
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
+            # csv unquotes and loadtxt does not; loadtxt skips blank lines and
+            # numpy strings drop trailing NULs; a chunk without a line end may
+            # be part of a field beyond csv's field_size_limit (two chunks)
+            if ('"' in chunk or "\x00" in chunk or "\n\n" in last + chunk
+                    or "\n" not in chunk):
+                return None
+            last = chunk[-1]
+        fh.seek(0)
+        header = next(csv.reader([fh.readline()]))
+        col_index = {name: i for i, name in enumerate(header)}
+        if not all(c in col_index for c in schema.columns):
+            return None
+        # label strings one character wider than any key, so a cut value matches none
+        label = f"U{max(map(len, table)) + 1}"
+        kinds = ([(col_index[c], "f8") for c in schema.feature_columns]
+                 + [(col_index[schema.protected_column], label),
+                    (col_index[schema.label_column], label)]
+                 + [(col_index[c], "i8") for c in [schema.round_column] if c is not None])
+        kind = dict(kinds)
+        if len(kind) != len(set(kinds)):  # a column read in two types
+            return None
+        # every column is read (unused ones as empty strings): usecols would accept ragged rows
+        data = np.loadtxt(fh, dtype=[(str(i), kind.get(i, "U0")) for i in range(len(header))],
+                          delimiter=",", comments=None, ndmin=1)
+
+    def column(name):
+        return data[str(col_index[name])]
+
+    s = _mapped(column(schema.protected_column), table)
+    y = _mapped(column(schema.label_column), table)
+    if s is None or y is None:
+        return None
+    t = (np.arange(len(data)) // schema.batch_size + 1 if schema.round_column is None
+         else column(schema.round_column))
+    starts = np.flatnonzero(t[1:] != t[:-1]) + 1
+    rounds = t[np.r_[0, starts]].tolist()
+    if len(set(rounds)) != len(rounds):  # a round reappears
+        return None
+    x = np.column_stack([column(c) for c in schema.feature_columns])
+    return x, y, s, starts, rounds
+
+
+def _mapped(column: np.ndarray, table: Dict[str, int]) -> Optional[np.ndarray]:
+    """The column's strings through `table`, or None if one is not mapped to -1 or +1."""
+    keys, inverse = np.unique(column, return_inverse=True)
+    values = [table.get(str(k)) for k in keys]
+    if not all(v in (-1, 1) for v in values):
+        return None
+    return np.array(values)[inverse]
+
+
+def _load_csv_rows(path: str, schema: CsvSchema) -> List[TaskBatch]:
+    """`load_csv` row by row with `csv.reader`: the reference semantics, and
+    the source of every IngestionError that names a row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -121,10 +218,7 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
         except StopIteration:
             raise IngestionError("empty file: header row required")
         col_index = {name: i for i, name in enumerate(header)}
-        needed = list(schema.feature_columns) + [schema.protected_column, schema.label_column]
-        if schema.round_column is not None:
-            needed.append(schema.round_column)
-        for name in needed:
+        for name in schema.columns:
             if name not in col_index:
                 raise IngestionError(f"missing column {name!r}")
         rounds, feats, ys, ss, seen = [], [], [], [], set()
@@ -156,6 +250,5 @@ def load_csv(path: str, schema: CsvSchema) -> List[TaskBatch]:
         raise IngestionError("file contains no data rows")
     # each round's rows are contiguous, so a batch starts wherever the round changes
     starts = [i for i in range(1, len(rounds)) if rounds[i] != rounds[i - 1]]
-    return [TaskBatch(f, y, s, round=rounds[i]) for f, y, s, i in zip(
-        np.split(np.array(feats), starts), np.split(np.array(ys), starts),
-        np.split(np.array(ss), starts), [0] + starts)]
+    return _batches(np.array(feats), np.array(ys), np.array(ss), starts,
+                    [rounds[i] for i in [0] + starts])

@@ -1,5 +1,6 @@
 """Every name a `fairsaoml` module imports is used in that module, and every
 function, class, method and property it defines is used somewhere in the package.
+Importing `fairsaoml.cli` loads nothing beyond the standard library and numpy.
 
 No linter ships with the test dependencies, so these checks walk each
 module's syntax tree: an imported name counts as used when it appears as a
@@ -8,6 +9,9 @@ name counts as used when a bare name or an attribute of that name appears in
 any module outside its own definition.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +104,16 @@ def test_detects_dead_name():
 def test_no_dead_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_names(sources, exempt=set(fairsaoml.__all__)) == []
+
+
+def test_cli_import_loads_only_stdlib_and_numpy():
+    """`fairsaoml run`'s start-up cost: importing the CLI pulls in no third-party
+    module other than numpy (jsonschema is imported only to validate a config)."""
+    code = ("import sys; before = set(sys.modules); import fairsaoml.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "fairsaoml" in loaded
+    assert set(loaded) - set(sys.stdlib_module_names) - {"numpy", "fairsaoml"} == set()

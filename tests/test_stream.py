@@ -1,6 +1,12 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fairsaoml import stream as stream_module
 from fairsaoml.errors import ConfigurationError, IngestionError
 from fairsaoml.model_core import TaskBatch
 from fairsaoml.stream import (CsvSchema, EnvSpec, StreamSpec, generate_stream,
@@ -166,3 +172,204 @@ class TestIngestionErrors:
         p.write_text("a,b,s,y,t\n1,2,7,1,1\n")
         with pytest.raises(IngestionError, match="unmappable"):
             load_csv(str(p), self.schema())
+
+
+def outcome(read, path, schema):
+    """`read`'s batches as comparable tuples, or its exception's type and message."""
+    try:
+        batches = read(str(path), schema)
+    except Exception as e:  # noqa: BLE001 (any exception must match the row loop's)
+        return type(e), str(e)
+    return [(b.round, type(b.round)) + tuple((a.dtype, a.shape, a.tobytes()) for a in
+                                            (b.features, b.labels, b.protected))
+            for b in batches]
+
+
+def assert_as_row_loop(path, schema):
+    """load_csv returns the row loop's batches, or raises its exception word for word."""
+    assert outcome(load_csv, path, schema) == outcome(stream_module._load_csv_rows, path, schema)
+
+
+SCHEMAS = {
+    "round": CsvSchema(feature_columns=("a", "b")),
+    "no-round": CsvSchema(feature_columns=("a", "b"), round_column=None, batch_size=2),
+    "mapped": CsvSchema(feature_columns=("b",), mapping={"F": 1, "M": -1, "1": 1, "0": -1}),
+    "maps-to-0": CsvSchema(feature_columns=("a", "b"), mapping={"1": 1, "-1": 0}),
+}
+
+
+def rows(*lines, end="\n", final=True):
+    return end.join(lines) + (end if final else "")
+
+
+# (file text, schema); every valid row has s and y in {-1, 1} and t = 1 or 2
+EDGE_CASES = {
+    "plain": (rows("a,b,s,y,t", "1,2,1,-1,1", "3,4,-1,1,1", "5,6,1,1,2"), "round"),
+    "plain-no-round": (rows("a,b,s,y", "1,2,1,-1", "3,4,-1,1", "5,6,1,1"), "no-round"),
+    "whitespace-feature": (rows("a,b,s,y,t", " 1 ,2,1,-1,1"), "round"),
+    "whitespace-label": (rows("a,b,s,y,t", "1,2, 1,-1,1"), "round"),
+    "whitespace-round": (rows("a,b,s,y,t", "1,2,1,-1, 1 "), "round"),
+    "plus-one": (rows("a,b,s,y,t", "+1,2,+1,-1,+1"), "round"),
+    "float-label": (rows("a,b,s,y,t", "1,2,1.0,-1,1"), "round"),
+    "float-round": (rows("a,b,s,y,t", "1,2,1,-1,1.0"), "round"),
+    "leading-zero": (rows("a,b,s,y,t", "01,2,01,-1,01"), "round"),
+    "leading-zero-round": (rows("a,b,s,y,t", "1,2,1,-1,01", "1,2,1,-1,1"), "round"),
+    "quoted-feature": (rows("a,b,s,y,t", '"1",2,1,-1,1'), "round"),
+    "quoted-label": (rows("a,b,s,y,t", '1,2,"1",-1,1'), "round"),
+    "quoted-comma": (rows("a,b,s,y,t,c,d", '1,2,1,-1,1,"x,y"'), "round"),
+    "quoted-line-end": (rows("a,b,s,y,t,c", '1,2,1,-1,1,"x', '1,2,1,-1,1,y"'), "round"),
+    "quoted-header": (rows('"a",b,s,y,t', "1,2,1,-1,1"), "round"),
+    "underscore-feature": (rows("a,b,s,y,t", "1_0,2,1,-1,1"), "round"),
+    "underscore-round": (rows("a,b,s,y,t", "1,2,1,-1,1_0"), "round"),
+    "nan": (rows("a,b,s,y,t", "nan,2,1,-1,1"), "round"),
+    "overflowing-float": (rows("a,b,s,y,t", "1e400,2,1,-1,1"), "round"),
+    "short-row": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,1,-1"), "round"),
+    "long-row": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,1,-1,1,1"), "round"),
+    "whitespace-line": (rows("a,b,s,y,t", "1,2,1,-1,1", " ", "1,2,1,-1,1"), "round"),
+    "blank-line": (rows("a,b,s,y,t", "1,2,1,-1,1", "", "1,2,1,-1,1"), "round"),
+    "blank-last-line": (rows("a,b,s,y,t", "1,2,1,-1,1", ""), "round"),
+    "blank-line-no-final-newline": (rows("a,b,s,y,t", "1,2,1,-1,1", "", "1,2,1,-1,2",
+                                         final=False), "round"),
+    "blank-first-line": (rows("", "a,b,s,y,t", "1,2,1,-1,1"), "round"),
+    "blank-line-no-round": (rows("a,b,s,y", "1,2,1,-1", "", "1,2,1,-1"), "no-round"),
+    "comment-line": (rows("a,b,s,y,t", "1,2,1,-1,1", "#,2,1,-1,1"), "round"),
+    "comment-header": (rows("# a,b,s,y,t", "1,2,1,-1,1"), "round"),
+    "crlf": (rows("a,b,s,y,t", "1,2,1,-1,1", "3,4,-1,1,2", end="\r\n"), "round"),
+    "cr-only": (rows("a,b,s,y,t", "1,2,1,-1,1", "3,4,-1,1,2", end="\r"), "round"),
+    "cr-only-no-final": (rows("a,b,s,y,t", "1,2,1,-1,1", "3,4,-1,1,2", end="\r",
+                              final=False), "round"),
+    "cr-cr-lf": (rows("a,b,s,y,t", "1,2,1,-1,1", "3,4,-1,1,2", end="\r\r\n"), "round"),
+    "mixed-ends": ("a,b,s,y,t\r\n1,2,1,-1,1\r3,4,-1,1,2\n", "round"),
+    "no-final-newline": (rows("a,b,s,y,t", "1,2,1,-1,1", final=False), "round"),
+    "header-only": (rows("a,b,s,y,t"), "round"),
+    "header-only-no-newline": ("a,b,s,y,t", "round"),
+    "header-only-no-round": (rows("a,b,s,y"), "no-round"),
+    "empty": ("", "round"),
+    "missing-column": (rows("a,s,y,t", "1,1,-1,1"), "round"),
+    "extra-numeric-column": (rows("a,b,c,s,y,t", "1,2,7,1,-1,1"), "round"),
+    "extra-text-column": (rows("a,b,name,s,y,t", "1,2,zz top,1,-1,1"), "round"),
+    "extra-empty-column": (rows("a,b,s,y,t,", "1,2,1,-1,1,"), "round"),
+    "duplicate-column": (rows("a,b,s,y,t,a", "1,2,1,-1,1,9"), "round"),
+    "feature-is-label": (rows("a,b,s,y,t", "1,2,1,-1,1"),
+                         CsvSchema(feature_columns=("a", "s"))),
+    "feature-is-mapped-label": (rows("a,b,s,y,t", "1,2,F,1,1"),
+                                CsvSchema(feature_columns=("a", "s"), mapping={"F": 1, "1": 1})),
+    "round-is-label": (rows("a,b,s,y", "1,2,01,1"),
+                       CsvSchema(feature_columns=("a", "b"), round_column="s")),
+    "round-beyond-int64": (rows("a,b,s,y,t", "1,2,1,-1,99999999999999999999",
+                                "1,2,1,-1,-99999999999999999999"), "round"),
+    "batch-size-beyond-int64": (rows("a,b,s,y", "1,2,1,-1", "3,4,-1,1"),
+                                CsvSchema(feature_columns=("a", "b"), round_column=None,
+                                          batch_size=10 ** 30)),
+    "round-reappears": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,1,-1,2", "1,2,1,-1,1"), "round"),
+    "non-integer-round": (rows("a,b,s,y,t", "1,2,1,-1,x"), "round"),
+    "unmappable": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,2,-1,1"), "round"),
+    "long-label": (rows("a,b,s,y,t", "1,2,1111,-1,1"), "round"),
+    "nul-label": ("a,b,s,y,t\n1,2,1\x00,-1,1\n", "round"),
+    "byte-order-mark": ("\ufeffa,b,s,y,t\n1,2,1,-1,1\n", "round"),
+    "custom-mapping": (rows("a,b,s,y,t", "1,2,F,1,1", "3,4,M,0,1"), "mapped"),
+    "custom-mapping-unmapped": (rows("a,b,s,y,t", "1,2,F,-1,1"), "mapped"),
+    "mapping-to-0": (rows("a,b,s,y,t", "1,2,1,1,1", "1,2,-1,1,1"), "maps-to-0"),
+    "field-beyond-csv-limit": (rows("a,b,s,y,t,c",
+                                    "1,2,1,-1,1," + "x" * (csv.field_size_limit() + 1)), "round"),
+}
+
+
+def edge_case(tmp_path, case):
+    """The file of EDGE_CASES[case], and its schema."""
+    text, schema = EDGE_CASES[case]
+    path = tmp_path / "e.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path, SCHEMAS[schema] if isinstance(schema, str) else schema
+
+
+def row_loop_not_expected(*args):
+    raise AssertionError("the row loop ran")
+
+
+class TestFastPathAgreesWithRowLoop:
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_case(self, tmp_path, case):
+        assert_as_row_loop(*edge_case(tmp_path, case))
+
+    @pytest.mark.parametrize("case", ["plain", "plain-no-round", "whitespace-feature", "crlf",
+                                      "cr-only", "no-final-newline", "extra-text-column",
+                                      "custom-mapping"])
+    def test_fast_path_taken_on_edge_case(self, tmp_path, monkeypatch, case):
+        path, schema = edge_case(tmp_path, case)
+        monkeypatch.setattr(stream_module, "_load_csv_rows", row_loop_not_expected)
+        assert load_csv(str(path), schema)
+
+    @pytest.mark.parametrize("schema", ["round", "no-round"])
+    def test_fast_path_taken(self, tmp_path, monkeypatch, schema):
+        """A gen-data CSV is parsed without the row loop, with or without its round column."""
+        generated = generate_stream(spec(seed=3, noise=0.1))
+        path = tmp_path / "g.csv"
+        save_csv(generated, str(path))
+        monkeypatch.setattr(stream_module, "_load_csv_rows", row_loop_not_expected)
+        features = tuple(f"f{i}" for i in range(4))
+        if schema == "round":
+            loaded = load_csv(str(path), CsvSchema(feature_columns=features))
+        else:
+            loaded = load_csv(str(path), CsvSchema(feature_columns=features,
+                                                   round_column=None, batch_size=50))
+        assert [b.round for b in loaded] == [b.round for b in generated]
+        for a, b in zip(generated, loaded):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.protected, b.protected)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header row required"),
+        ("a,b,s,y,t\n", "no data rows"),
+        ("a,b,s,y,t\n1,2,1,-1,1\n\n1,2,1,-1,1\n", "row 3: ragged row"),
+        ("a,b,s,y,t\n1,2,1,-1,1\n1,2\n", "row 3: ragged row"),
+    ])
+    def test_no_warnings(self, tmp_path, text, message):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match=message):
+                load_csv(str(path), SCHEMAS["round"])
+
+
+NOISE = ["1.0", "01", " 1", "1 ", '"1"', '"1,2"', "1_0", "nan", "1e400",
+         "99999999999999999999", "#", "", "x", "2"]
+FEATURES = ["1", "-2.25", "0.5", "+1", " 3 ", "1e-3", "1e300"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_cases(draw):
+    """A schema's name and a file for it: a header of a, b, s, y and t in some
+    order, then rows. A clean file holds only values the schema reads and
+    contiguous rounds; a noisy one also draws from NOISE, and may hold blank,
+    short and long lines and rounds that reappear. Line ends are mixed and
+    the final one may be missing."""
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    labels = sorted(SCHEMAS[name].table)
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    header = draw(st.permutations(["a", "b", "s", "y", "t"]))
+    valid = {"a": FEATURES, "b": FEATURES, "s": labels, "y": labels}
+    lines, t = [",".join(header)], 1
+    for _ in range(draw(st.integers(0, 8))):
+        t = t + draw(st.sampled_from([0, 0, 1] + [-1] * (noise > 0)))
+        valid["t"] = [str(t), f"+{t}", f"0{t}", f" {t}"]
+        fields = [draw(st.sampled_from(NOISE if draw(st.floats(0, 1)) < noise else valid[c]))
+                  for c in header]
+        if noise and draw(st.integers(0, 9)) == 0:
+            fields = draw(st.sampled_from([[], fields[:-1], fields + ["1"]]))
+        lines.append(",".join(fields))
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    return name, text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_cases())
+def test_generated_files_read_as_by_the_row_loop(tmp_path, case):
+    schema, text = case
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_as_row_loop(path, SCHEMAS[schema])
