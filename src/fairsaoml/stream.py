@@ -158,10 +158,11 @@ def _parse_columns(path: str, schema: CsvSchema):
         last = ""
         for chunk in iter(lambda: fh.read(1 << 16), ""):
             # csv unquotes and loadtxt does not; loadtxt skips blank lines and
-            # numpy strings drop trailing NULs; a chunk without a line end may
-            # be part of a field beyond csv's field_size_limit (two chunks)
-            if ('"' in chunk or "\x00" in chunk or "\n\n" in last + chunk
-                    or "\n" not in chunk):
+            # numpy strings drop trailing NULs; numpy's number parsers strip
+            # \x1c-\x1f as whitespace and float and int do not; a chunk without
+            # a line end may be part of a field beyond csv's field_size_limit
+            if (any(c in chunk for c in '"\x00\x1c\x1d\x1e\x1f')
+                    or "\n\n" in last + chunk or "\n" not in chunk):
                 return None
             last = chunk[-1]
         fh.seek(0)

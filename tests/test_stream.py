@@ -222,6 +222,10 @@ EDGE_CASES = {
     "underscore-feature": (rows("a,b,s,y,t", "1_0,2,1,-1,1"), "round"),
     "underscore-round": (rows("a,b,s,y,t", "1,2,1,-1,1_0"), "round"),
     "nan": (rows("a,b,s,y,t", "nan,2,1,-1,1"), "round"),
+    # numpy strips \x1c-\x1f around a number as whitespace; float and int reject them
+    "separator-char-feature": (rows("a,b,s,y,t", "1\x1c,2,1,-1,1"), "round"),
+    "separator-char-round": (rows("a,b,s,y,t", "1,2,1,-1,\x1f1"), "round"),
+    "separator-char-label": (rows("a,b,s,y,t", "1,2,1\x1d,-1,1"), "round"),
     "overflowing-float": (rows("a,b,s,y,t", "1e400,2,1,-1,1"), "round"),
     "short-row": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,1,-1"), "round"),
     "long-row": (rows("a,b,s,y,t", "1,2,1,-1,1", "1,2,1,-1,1,1"), "round"),
@@ -300,19 +304,16 @@ class TestFastPathAgreesWithRowLoop:
         monkeypatch.setattr(stream_module, "_load_csv_rows", row_loop_not_expected)
         assert load_csv(str(path), schema)
 
-    @pytest.mark.parametrize("schema", ["round", "no-round"])
-    def test_fast_path_taken(self, tmp_path, monkeypatch, schema):
+    @pytest.mark.parametrize("without_round", [{}, {"round_column": None, "batch_size": 50}],
+                             ids=["round", "no-round"])
+    def test_fast_path_taken(self, tmp_path, monkeypatch, without_round):
         """A gen-data CSV is parsed without the row loop, with or without its round column."""
         generated = generate_stream(spec(seed=3, noise=0.1))
         path = tmp_path / "g.csv"
         save_csv(generated, str(path))
         monkeypatch.setattr(stream_module, "_load_csv_rows", row_loop_not_expected)
-        features = tuple(f"f{i}" for i in range(4))
-        if schema == "round":
-            loaded = load_csv(str(path), CsvSchema(feature_columns=features))
-        else:
-            loaded = load_csv(str(path), CsvSchema(feature_columns=features,
-                                                   round_column=None, batch_size=50))
+        schema = CsvSchema(feature_columns=tuple(f"f{i}" for i in range(4)), **without_round)
+        loaded = load_csv(str(path), schema)
         assert [b.round for b in loaded] == [b.round for b in generated]
         for a, b in zip(generated, loaded):
             assert np.array_equal(a.features, b.features)
@@ -335,7 +336,7 @@ class TestFastPathAgreesWithRowLoop:
 
 
 NOISE = ["1.0", "01", " 1", "1 ", '"1"', '"1,2"', "1_0", "nan", "1e400",
-         "99999999999999999999", "#", "", "x", "2"]
+         "99999999999999999999", "#", "", "x", "2", "1\x1e"]
 FEATURES = ["1", "-2.25", "0.5", "+1", " 3 ", "1e-3", "1e300"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
