@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import warnings
 from pathlib import Path
@@ -149,38 +150,65 @@ CONFIG_SCHEMA = {
         "out": {"type": "string", "default": "out"},
     },
 }
+# config-echo.json of older versions also held these keys, which `report` ignores
+ECHO_SCHEMA = {**CONFIG_SCHEMA,
+               "properties": {**CONFIG_SCHEMA["properties"], "horizon": {}, "first_order": {}}}
+# the JSON types of each Python type that json.load gives: neither 2.0 nor true is an integer
+JSON_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"}, bool: {"boolean"},
+              type(None): {"null"}, int: {"integer", "number"}, float: {"number"}}
+# bound keyword -> (whether a value breaks it, JSON Schema's words for that)
+BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+          "maximum": (operator.gt, "greater than the maximum of"),
+          "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+          "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
 
 
 def fill(schema: dict, value):
-    """`value` with the schema's defaults filled in at every level: an object
-    gets its defaults first, then its own keys."""
+    """`value` checked against `schema`, with the schema's defaults filled in at
+    every level: an object gets its defaults first, then its own keys. The first
+    keyword that a value breaks raises a ConfigurationError in JSON Schema's words."""
+    def reject(message):
+        raise ConfigurationError(f"invalid config: {message}")
+
+    kinds = JSON_TYPES.get(type(value), set())
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    if types and kinds.isdisjoint(types):
+        reject(f"{value!r} is not of type {', '.join(map(repr, types))}")
+    # as in JSON Schema, 1.0 equals 1 but true does not
+    if "enum" in schema and not any(e == value and isinstance(e, bool) == isinstance(value, bool)
+                                    for e in schema["enum"]):
+        reject(f"{value!r} is not one of {schema['enum']!r}")
+    for key, (breaks, words) in BOUNDS.items():
+        if key in schema and "number" in kinds and breaks(value, schema[key]):
+            reject(f"{value!r} is {words} {schema[key]!r}")
     if isinstance(value, dict):
-        props = schema.get("properties", {})
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        if extra is False and (unexpected := sorted(set(value) - set(props))):
+            reject(f"Additional properties are not allowed ({', '.join(map(repr, unexpected))}"
+                   f" {'was' if len(unexpected) == 1 else 'were'} unexpected)")
+        for k in schema.get("required", []):
+            if k not in value:
+                reject(f"{k!r} is a required property")
         out = {k: fill(p, p["default"]) for k, p in props.items() if "default" in p}
         for k, v in value.items():
-            out[k] = fill(props.get(k, {}), v)
+            out[k] = fill(props.get(k, extra or {}), v)
         return out
     if isinstance(value, list):
+        if len(value) < (least := schema.get("minItems", 0)):
+            reject(f"{value!r} {'should be non-empty' if least == 1 else 'is too short'}")
         return [fill(schema.get("items", {}), v) for v in value]
     return value
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> dict:
-    """The file's config with `overrides` (flag values) merged in, validated, defaults filled."""
+    """The file's config with `overrides` (flag values) merged in, checked, defaults filled."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and overrides:
         raw.update(overrides)
-    # imported here because `report` never validates a config; the schema itself
-    # is checked against its metaschema by the tests, not on every call
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
-    if error is not None:
-        raise ConfigurationError(f"invalid config: {error.message}")
-    if "stream" not in raw and "csv" not in raw:
-        raise ConfigurationError("config must provide either 'stream' or 'csv'")
     cfg = fill(CONFIG_SCHEMA, raw)
+    if "stream" not in cfg and "csv" not in cfg:
+        raise ConfigurationError("config must provide either 'stream' or 'csv'")
     if "stream" in cfg:
         cfg["stream"].setdefault("seed", cfg["seed"])
     return cfg
@@ -222,9 +250,7 @@ def build_run_config(cfg: dict, seed: int) -> RunConfig:
 
 
 def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    return FLOAT_FORMAT % value
+    return "" if value is None else FLOAT_FORMAT % value
 
 
 def rounds_csv_header(m: int) -> List[str]:
@@ -386,8 +412,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, overrides(args))
     if "stream" not in cfg:
         raise ConfigurationError("gen-data requires a 'stream' section")
-    spec = build_stream_spec(cfg)
-    stream = generate_stream(spec)
+    stream = generate_stream(build_stream_spec(cfg))
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(stream, str(out))
@@ -413,9 +438,7 @@ def cmd_sweep_base(args: argparse.Namespace) -> int:
     batches = build_batches(cfg)
     summary = {}
     for base in bases:
-        sub = dict(cfg)
-        sub["base"] = base
-        sub["out"] = str(root / f"base{base}")
+        sub = {**cfg, "base": base, "out": str(root / f"base{base}")}
         manifest = execute_run(sub, Path(sub["out"]), batches)
         last_rows = _read_rounds_csv(Path(sub["out"]) / f"rep{cfg['seed']}" / "rounds.csv")
         summary[str(base)] = {
@@ -432,11 +455,8 @@ def cmd_sweep_base(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     art = Path(args.artifacts)
-    echo = art / "config-echo.json"
-    if not echo.exists():
-        raise ConfigurationError(f"missing artifact file {echo}")
-    with open(echo, encoding="utf-8") as fh:
-        cfg = fill(CONFIG_SCHEMA, json.load(fh))
+    with open(art / "config-echo.json", encoding="utf-8") as fh:
+        cfg = fill(ECHO_SCHEMA, json.load(fh))
     with open(art / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     for s in manifest["seeds"]:

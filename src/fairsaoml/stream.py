@@ -89,6 +89,8 @@ class CsvSchema:
     mapping: Optional[Dict[str, int]] = None  # raw value -> {-1, +1}
 
     def __post_init__(self):
+        if not self.feature_columns:
+            raise ConfigurationError("a CSV needs at least one feature column")
         if self.round_column is None and self.batch_size is None:
             raise ConfigurationError("a CSV without a round column needs a batch_size")
 
@@ -100,7 +102,7 @@ class CsvSchema:
 
     @property
     def table(self) -> Dict[str, int]:
-        return self.mapping or DEFAULT_MAPPING
+        return DEFAULT_MAPPING if self.mapping is None else self.mapping
 
     def map_value(self, raw: str, row_no: int, column: str) -> int:
         table = self.table
@@ -171,7 +173,7 @@ def _parse_columns(path: str, schema: CsvSchema):
         if not all(c in col_index for c in schema.columns):
             return None
         # label strings one character wider than any key, so a cut value matches none
-        label = f"U{max(map(len, table)) + 1}"
+        label = f"U{max(map(len, table), default=0) + 1}"
         kinds = ([(col_index[c], "f8") for c in schema.feature_columns]
                  + [(col_index[schema.protected_column], label),
                     (col_index[schema.label_column], label)]

@@ -12,12 +12,13 @@ the validating `TaskBatch` constructor, the drift stream of the
 acceptance criteria is built from its specification, and the regret solver
 takes one `TaskBatch` per round and stacks each window's rows again. The CSV
 writer formats value by value through `csv.writer`, and `metrics.csv` is
-reduced one round and one column at a time. A config's defaults come from a
-dict of top-level defaults merged one level deep, then from a fill of its own
-for each `fairness` entry, each environment and the stream's `batch_size`
-and `seed`.
+reduced one round and one column at a time. A config is validated by
+jsonschema, and its defaults come from a dict of top-level defaults merged one
+level deep, then from a fill of its own for each `fairness` entry, each
+environment and the stream's `batch_size` and `seed`.
 """
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -472,17 +473,35 @@ CONFIG_DEFAULTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def strict_validator():
+    """jsonschema's validator class for CONFIG_SCHEMA's draft, with `integer`
+    meaning a JSON integer, an int that is not a bool; its own checker also
+    counts 2.0."""
+    from jsonschema.validators import extend, validator_for
+    base = validator_for(CONFIG_SCHEMA)
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    return extend(base, type_checker=checker)
+
+
+def schema_error(schema: dict, instance) -> Optional[str]:
+    """`strict_validator`'s best-matching message for `instance` under `schema`, or None."""
+    from jsonschema.exceptions import best_match
+    error = best_match(strict_validator()(schema).iter_errors(instance))
+    return None if error is None else error.message
+
+
 def load_config_by_blocks(path: str, overrides: Optional[dict] = None) -> dict:
-    """`cli.load_config` with defaults from CONFIG_DEFAULTS and one fill block per part."""
+    """`cli.load_config` validated by jsonschema, with defaults from CONFIG_DEFAULTS
+    and one fill block per part."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict) and overrides:
         raw.update(overrides)
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+    error = schema_error(CONFIG_SCHEMA, raw)
     if error is not None:
-        raise ConfigurationError(f"invalid config: {error.message}")
+        raise ConfigurationError(f"invalid config: {error}")
     cfg = dict(CONFIG_DEFAULTS)
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):

@@ -1,7 +1,5 @@
 import csv
 import json
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -10,10 +8,10 @@ import pytest
 
 from fairsaoml import __version__, cli
 from fairsaoml.engine import run
+from fairsaoml.errors import ConfigurationError
 from fairsaoml.intervals import IntervalScheme
-from oracles import aggregate_metrics_csv_by_round, expected_census, load_config_by_blocks
-
-SRC = Path(cli.__file__).resolve().parents[1]  # the directory holding `fairsaoml`
+from oracles import (aggregate_metrics_csv_by_round, expected_census, load_config_by_blocks,
+                     schema_error)
 
 
 def write_config(tmp_path, **overrides):
@@ -211,16 +209,6 @@ class TestReport:
         assert cli.main(["report", "--artifacts", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
-
-    def test_report_leaves_jsonschema_unimported(self, tmp_path):
-        path, _ = write_config(tmp_path, reps=1)
-        assert cli.main(["run", "--config", str(path)]) == 0
-        code = ("import sys; from fairsaoml.cli import main; "
-                f"assert main(['report', '--artifacts', {str(tmp_path / 'out')!r}]) == 0; "
-                "assert 'jsonschema' not in sys.modules, 'jsonschema imported'")
-        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("reps", [1, 2, 3, 5, 7, 8, 12])
     def test_metrics_csv_matches_per_round_reduction(self, tmp_path, reps):
@@ -434,6 +422,19 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(path)]) == 0
 
+    def test_no_feature_columns(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(path), "--out", str(data)]) == 0
+        cfg = json.loads(path.read_text())
+        del cfg["stream"]
+        cfg["csv"] = {"path": str(data), "feature_columns": []}
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: a CSV needs at least one feature column\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_sections(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"scheme": "dgc"}))
@@ -474,9 +475,78 @@ class TestErrors:
 
 
 def test_config_schema_is_a_valid_schema():
-    """load_config validates instances only; the schema is checked here."""
+    """load_config checks instances only; the schema is checked here."""
     from jsonschema.validators import validator_for
     validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+# the keywords that `cli.fill` checks, and `default`, the value it fills in
+WALKED = {"type", "enum", *cli.BOUNDS, "minItems", "required", "properties",
+          "additionalProperties", "items", "default"}
+
+
+def schema_keywords(schema: dict):
+    """Every keyword of `schema` and of the schemas nested in it."""
+    yield from schema
+    for sub in [*schema.get("properties", {}).values(), schema.get("items"),
+                schema.get("additionalProperties")]:
+        if isinstance(sub, dict):
+            yield from schema_keywords(sub)
+
+
+def test_every_schema_keyword_is_walked():
+    """A keyword the walk does not know would be ignored, so none may appear."""
+    assert set(schema_keywords(cli.ECHO_SCHEMA)) - WALKED == set()
+    assert {"minItems", "exclusiveMaximum"} <= set(schema_keywords(cli.CONFIG_SCHEMA))
+    assert set(schema_keywords({"items": {"maxItems": 2}})) - WALKED == {"maxItems"}
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "integer"}, 2.0),
+    ({"type": "integer"}, True),
+    ({"type": "number"}, False),
+    ({"type": "boolean"}, 1),
+    ({"type": ["number", "null"]}, "x"),
+    ({"type": "object"}, [1]),
+    ({"type": "array"}, {"a": 1}),
+    ({"type": "string"}, None),
+    ({"enum": [-1, 1]}, True),
+    ({"enum": ["a", "b"]}, "c"),
+    ({"minimum": 1}, 0),
+    ({"minimum": 1}, -float("inf")),
+    ({"maximum": 1}, 1.5),
+    ({"exclusiveMinimum": 0}, 0),
+    ({"exclusiveMaximum": 0.5}, 0.5),
+    ({"minItems": 1}, []),
+    ({"minItems": 2}, [1]),
+    ({"required": ["a", "b"]}, {"c": 1}),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"b": 1}),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"c": 1, "b": 2}),
+    ({"additionalProperties": {"enum": [-1, 1]}}, {"x": 0}),
+    ({"properties": {"a": {"properties": {"b": {"type": "string"}}}}}, {"a": {"b": 1}}),
+    ({"items": {"type": "integer", "minimum": 1}}, [1, 0]),
+])
+def test_walk_rejects_in_jsonschemas_words(schema, value):
+    with pytest.raises(ConfigurationError) as got:
+        cli.fill(schema, value)
+    assert str(got.value) == f"invalid config: {schema_error(schema, value)}"
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "number"}, 2),
+    ({"type": "integer"}, 10 ** 30),
+    ({"type": ["integer", "null"]}, None),
+    ({"enum": [-1, 1]}, 1.0),
+    ({"minimum": 1}, "x"),
+    ({"minimum": 1}, True),
+    ({"minimum": 1}, float("nan")),
+    ({"minItems": 1}, "x"),
+    ({"required": ["a"]}, [1]),
+    ({"additionalProperties": False}, "x"),
+])
+def test_walk_accepts_as_jsonschema(schema, value):
+    assert schema_error(schema, value) is None
+    assert json.dumps(cli.fill(schema, value)) == json.dumps(value)  # NaN != NaN
 
 
 def test_loaded_defaults_are_fresh(tmp_path):

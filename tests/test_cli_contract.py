@@ -1,11 +1,14 @@
 """The CLI's exit-code contract over generated configs.
 
 Each example is a small config that is valid by construction, or the same
-config with one value out of range. `cli.main` runs it in this process and
-must return: 0 for a valid config, after which `report` regenerates the
-same `regret.json` and `metrics.csv` byte for byte; 2 with a single stderr
-line for an out-of-range value. Either way `cli.load_config` must give the
-same config as `oracles.load_config_by_blocks`, or the same error message.
+config with one value out of range or of the wrong type. `cli.main` runs it
+in this process and must return 0 for a valid config, or 2 with a single
+stderr line for a bad value. After a valid run, `report` must regenerate the
+same `regret.json` and `metrics.csv` byte for byte, and exit 2 with a single
+stderr line once one value of `config-echo.json` is made bad. Either way
+`cli.load_config` must give the same config as
+`oracles.load_config_by_blocks`, or the same error message: jsonschema's,
+with `integer` meaning a JSON integer.
 
 The draws keep every run well clear of a degenerate subset: support rows
 of at least 15 per class, near-balanced groups and at least 30 validation
@@ -15,8 +18,10 @@ example ten times longer; 0 is its out-of-range value.
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
@@ -28,7 +33,7 @@ from fairsaoml.engine import MODE_FAIRSAOML, MODE_SINGLE_EXPERT
 from fairsaoml.errors import ConfigurationError
 from fairsaoml.intervals import AGC, DGC, DI
 from fairsaoml.model_core import DDP, DEO
-from oracles import load_config_by_blocks
+from oracles import load_config_by_blocks, schema_error
 
 # (key path, out-of-range value); a missing section on the path is created
 OUT_OF_RANGE = [
@@ -52,6 +57,35 @@ OUT_OF_RANGE = [
     (("metrics", "tau"), [0]),
     (("metrics", "tail_fraction"), 0),
 ]
+# (key path, value of the wrong type): an integer-valued float for each integer
+# key, a boolean and strings where numbers are expected. `configs` draws from
+# OUT_OF_RANGE alone, so that its examples stay the ones it has always drawn:
+# with a larger pool hypothesis draws other valid configs, and one of them (DI,
+# deo, query_size 20) aborts on a group missing from a split. test_each_bad_value
+# runs every value of both lists.
+WRONG_TYPE = [
+    (("n_meta",), 2.0),
+    (("reps",), 1.0),
+    (("seed",), 3.0),
+    (("base",), 2.0),
+    (("split", "support_per_class"), 20.0),
+    (("stream", "batch_size"), 200.0),
+    (("stream", "environments", 0, "n_tasks"), 2.0),
+    (("metrics", "tau"), [2.0]),
+    (("eta1",), True),
+    (("n_meta",), "x"),
+    (("metrics", "tau"), ["a"]),
+]
+BAD_VALUES = OUT_OF_RANGE + WRONG_TYPE
+
+
+def put(cfg, path, value):
+    """Set `value` at `path` in `cfg`, creating a missing section on the way."""
+    node = cfg
+    for key, inner in zip(path[:-1], path[1:]):
+        node = node[key] if isinstance(key, int) else node.setdefault(
+            key, [{}] if isinstance(inner, int) else {})
+    node[path[-1]] = value
 
 
 def optional(draw, key, strategy, into):
@@ -63,7 +97,7 @@ def optional(draw, key, strategy, into):
 @st.composite
 def configs(draw):
     """(config, flags, broken): a config dict, extra CLI flags, and whether one
-    value in them is out of range."""
+    value in them is bad."""
     cfg = {"scheme": draw(st.sampled_from([DI, AGC, DGC])),
            "reps": draw(st.sampled_from([1, 2, 0]))}
     optional(draw, "base", st.integers(2, 4), cfg)
@@ -125,14 +159,17 @@ def configs(draw):
         flags += ["--scheme", draw(st.sampled_from([DI, AGC, DGC]))]
     broken = cfg["reps"] == 0
     if not broken and draw(st.booleans()):
-        path, value = draw(st.sampled_from(OUT_OF_RANGE))
-        node = cfg
-        for key, inner in zip(path[:-1], path[1:]):
-            node = node[key] if isinstance(key, int) else node.setdefault(
-                key, [{}] if isinstance(inner, int) else {})
-        node[path[-1]] = value
+        put(cfg, *draw(st.sampled_from(OUT_OF_RANGE)))
         broken = True
     return cfg, flags, broken
+
+
+def run_main(args):
+    """`cli.main(args)`'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -140,6 +177,8 @@ def configs(draw):
 @given(configs())
 def test_exit_codes(case):
     cfg, flags, broken = case
+    # the bad value put into this example's echo, the same on every run
+    echo_value = BAD_VALUES[zlib.crc32(json.dumps([cfg, flags]).encode()) % len(BAD_VALUES)]
     # a warning raises here, so it escapes `main` instead of printing a second line
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -173,4 +212,49 @@ def test_exit_codes(case):
         with contextlib.redirect_stderr(err):
             assert cli.main(["report", "--artifacts", str(out)]) == 0, err.getvalue()
         assert {name: (out / name).read_bytes() for name in before} == before
+        assert report_with_bad_echo(out, *echo_value)
+
+
+def report_with_bad_echo(out, path, value):
+    """Whether `report` on `out` exits 2 with the oracle's message, as its one
+    stderr line, once `value` is put at `path` in the echo."""
+    echo_path = out / "config-echo.json"
+    echo = json.loads(echo_path.read_text(encoding="utf-8"))
+    put(echo, path, value)
+    echo_path.write_text(json.dumps(echo), encoding="utf-8")
+    message = schema_error(cli.ECHO_SCHEMA, echo)
+    return message is not None and run_main(["report", "--artifacts", str(out)]) == (
+        2, f"error: invalid config: {message}\n")
+
+
+SMALL = {"scheme": DGC, "reps": 1,
+         "stream": {"environments": [{"n_tasks": 2, "dim": 2, "boundary": [1.0, 0.0]}]}}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The artifacts of a valid run of SMALL."""
+    tmp = tmp_path_factory.mktemp("small")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({**SMALL, "out": str(tmp / "out")}), encoding="utf-8")
+    assert run_main(["run", "--config", str(config)])[0] == 0
+    return tmp / "out"
+
+
+@pytest.mark.parametrize("path, value", BAD_VALUES)
+def test_each_bad_value(tmp_path, small_run, path, value):
+    """Every bad value exits 2 with the oracle's message, in a config that `run`
+    reads and in an echo that `report` reads, whichever examples are drawn."""
+    cfg = json.loads(json.dumps({**SMALL, "out": str(tmp_path / "out")}))
+    put(cfg, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    message = schema_error(cli.CONFIG_SCHEMA, cfg)
+    assert message is not None
+    with pytest.raises(ConfigurationError) as got:
+        load_config_by_blocks(str(config))
+    assert str(got.value) == f"invalid config: {message}"
+    assert run_main(["run", "--config", str(config)]) == (2, f"error: {got.value}\n")
+    assert not (tmp_path / "out").exists()
+    assert report_with_bad_echo(shutil.copytree(small_run, tmp_path / "copy"), path, value)
 

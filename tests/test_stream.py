@@ -173,6 +173,18 @@ class TestIngestionErrors:
         with pytest.raises(IngestionError, match="unmappable"):
             load_csv(str(p), self.schema())
 
+    @pytest.mark.parametrize("read", [load_csv, stream_module._load_csv_rows])
+    def test_empty_mapping_maps_nothing(self, tmp_path, read):
+        # {} is a mapping of its own, not a request for the default one
+        p = tmp_path / "u.csv"
+        p.write_text("a,b,s,y,t\n1,2,1,-1,1\n")
+        with pytest.raises(IngestionError, match="row 2: unmappable value '1' in column s"):
+            read(str(p), CsvSchema(feature_columns=("a", "b"), mapping={}))
+
+    def test_no_feature_columns(self):
+        with pytest.raises(ConfigurationError, match="at least one feature column"):
+            CsvSchema(feature_columns=())
+
 
 def outcome(read, path, schema):
     """`read`'s batches as comparable tuples, or its exception's type and message."""
@@ -274,6 +286,8 @@ EDGE_CASES = {
     "custom-mapping": (rows("a,b,s,y,t", "1,2,F,1,1", "3,4,M,0,1"), "mapped"),
     "custom-mapping-unmapped": (rows("a,b,s,y,t", "1,2,F,-1,1"), "mapped"),
     "mapping-to-0": (rows("a,b,s,y,t", "1,2,1,1,1", "1,2,-1,1,1"), "maps-to-0"),
+    "empty-mapping": (rows("a,b,s,y,t", "1,2,1,-1,1"),
+                      CsvSchema(feature_columns=("a", "b"), mapping={})),
     "field-beyond-csv-limit": (rows("a,b,s,y,t,c",
                                     "1,2,1,-1,1," + "x" * (csv.field_size_limit() + 1)), "round"),
 }
