@@ -21,8 +21,8 @@ from .metrics import (cumulative_violation, eighty_percent_check,
                       fair_sar_estimate, round_losses, static_regret)
 from .model_core import DDP, DEO, FairnessSpec, LossSpec, Rounds, TaskBatch
 from .optimizer import Ball, LagrangianConfig
-from .stream import (FLOAT_FORMAT, CsvSchema, EnvSpec, StreamSpec, generate_stream, load_csv,
-                     save_csv)
+from .stream import (FLOAT_FORMAT, CsvSchema, EnvSpec, Stream, StreamSpec, generate_stream,
+                     load_csv, save_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,7 +224,9 @@ def build_stream_spec(cfg: dict) -> StreamSpec:
     )
 
 
-def build_batches(cfg: dict) -> List[TaskBatch]:
+def build_batches(cfg: dict) -> List[TaskBatch] | Stream:
+    """The run's batches: a CSV's, parsed once, or a generated stream, drawn
+    anew by each pass over it."""
     if "csv" in cfg:
         c = dict(cfg["csv"])
         path, features = c.pop("path"), tuple(c.pop("feature_columns"))
@@ -367,14 +369,20 @@ def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:
         json.dump(regret, fh, indent=2)
 
 
-def execute_run(cfg: dict, out_dir: Path, batches: List[TaskBatch]) -> dict:
+def run_repetition(cfg: dict, seed: int, rep_dir: Path,
+                   batches: List[TaskBatch] | Stream) -> None:
+    """One repetition's rounds.csv and trace.npz. Its records, which hold every
+    round's validation rows, are freed when it returns."""
+    records = run(build_run_config(cfg, seed), batches)
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
+    write_trace(records, rep_dir / "trace.npz")
+
+
+def execute_run(cfg: dict, out_dir: Path, batches: List[TaskBatch] | Stream) -> dict:
     seeds = [cfg["seed"] + i for i in range(cfg["reps"])]
     for seed in seeds:
-        records = run(build_run_config(cfg, seed), batches)
-        rep_dir = out_dir / f"rep{seed}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
-        write_trace(records, rep_dir / "trace.npz")
+        run_repetition(cfg, seed, out_dir / f"rep{seed}", batches)
     write_report(out_dir, cfg, seeds)
     with open(out_dir / "config-echo.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2)
@@ -412,7 +420,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, overrides(args))
     if "stream" not in cfg:
         raise ConfigurationError("gen-data requires a 'stream' section")
-    stream = generate_stream(build_stream_spec(cfg))
+    # drawn whole before the file is opened, so a failed draw leaves no file behind;
+    # the CSV and the row count both read this one draw
+    stream = list(generate_stream(build_stream_spec(cfg)))
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(stream, str(out))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -205,15 +205,18 @@ class Engine:
         )
 
 
-def run(config: RunConfig, stream: Sequence[TaskBatch]) -> List[RoundRecord]:
-    """Execute the full protocol; one record per round."""
-    if not stream:
-        raise ConfigurationError("stream must yield at least one batch")
-    engine = Engine(config, total_rounds=len(stream), dim=stream[0].dim)
+def run(config: RunConfig, stream: Iterable[TaskBatch]) -> List[RoundRecord]:
+    """Execute the full protocol; one record per round. `stream` is any sized
+    iterable of batches, such as a `stream.Stream`, passed over once."""
+    engine = None
     records: List[RoundRecord] = []
     for t, batch in enumerate(stream, start=1):
+        if engine is None:  # the first batch gives the dimension
+            engine = Engine(config, total_rounds=len(stream), dim=batch.dim)
         try:
             records.append(engine.round(t, batch))
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"round {t}: {exc}") from exc
+    if engine is None:
+        raise ConfigurationError("stream must yield at least one batch")
     return records

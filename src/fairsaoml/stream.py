@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -68,15 +68,30 @@ def _draw_batch(rng: np.random.Generator, env: EnvSpec, batch_size: int,
         "could not draw a batch with both groups and both classes present")
 
 
-def generate_stream(spec: StreamSpec) -> List[TaskBatch]:
-    rng = np.random.default_rng(spec.seed)
-    out: List[TaskBatch] = []
-    t = 0
-    for env in spec.environments:
-        for _ in range(env.n_tasks):
-            t += 1
-            out.append(_draw_batch(rng, env, spec.batch_size, t))
-    return out
+@dataclass(frozen=True)
+class Stream:
+    """The batches of `spec`, each drawn when a pass reaches it.
+
+    Every pass seeds its own generator with `spec.seed`, so each yields the
+    same batches in the same order, and nothing holds a batch the caller has
+    let go. `len()` draws nothing; `list()` gives an indexable copy.
+    """
+    spec: StreamSpec
+
+    def __len__(self) -> int:
+        return sum(env.n_tasks for env in self.spec.environments)
+
+    def __iter__(self) -> Iterator[TaskBatch]:
+        rng = np.random.default_rng(self.spec.seed)
+        t = 0
+        for env in self.spec.environments:
+            for _ in range(env.n_tasks):
+                t += 1
+                yield _draw_batch(rng, env, self.spec.batch_size, t)
+
+
+def generate_stream(spec: StreamSpec) -> Stream:
+    return Stream(spec)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ expert, the fairness constraints are evaluated one spec at a time from the
 closed-form group proportion p1 and direction a, the batch split takes set
 differences and builds each part through
 the validating `TaskBatch` constructor, the drift stream of the
-acceptance criteria is built from its specification, and the regret solver
+acceptance criteria is built from its specification, a generated stream is
+drawn whole into a list, and the regret solver
 takes one `TaskBatch` per round and stacks each window's rows again. The CSV
 writer formats value by value through `csv.writer`, and `metrics.csv` is
 reduced one round and one column at a time. A config is validated by
@@ -37,7 +38,7 @@ from fairsaoml.metrics import (EXHAUSTIVE_WINDOW_LIMIT, SOLVER_MAX_ITER, SOLVER_
 from fairsaoml.model_core import (DDP, DEO, BatchSplit, FairnessSpec, LossSpec,
                                   ParamPair, TaskBatch, loss, loss_grad)
 from fairsaoml.optimizer import Ball, LagrangianConfig, project_ball
-from fairsaoml.stream import EnvSpec, StreamSpec
+from fairsaoml.stream import EnvSpec, StreamSpec, _draw_batch
 
 
 Interval = Tuple[int, int]  # (start, end), end inclusive
@@ -320,6 +321,18 @@ def default_drift_spec(tasks_per_env: int, seed: int = 0,
         batch_size=batch_size,
         seed=seed,
     )
+
+
+def generate_stream_as_list(spec: StreamSpec) -> List[TaskBatch]:
+    """`stream.generate_stream` with every batch drawn up front into a list."""
+    rng = np.random.default_rng(spec.seed)
+    out: List[TaskBatch] = []
+    t = 0
+    for env in spec.environments:
+        for _ in range(env.n_tasks):
+            t += 1
+            out.append(_draw_batch(rng, env, spec.batch_size, t))
+    return out
 
 
 def offline_minimizer_by_batches(batches: Sequence[TaskBatch], loss_spec: LossSpec,

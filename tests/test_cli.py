@@ -473,6 +473,21 @@ class TestErrors:
         assert capsys.readouterr().err == "error: fairness surrogate undefined: p1 in {0, 1}\n"
         assert not (tmp_path / "out" / "rep2").exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen-data", "sweep-base"])
+    def test_undrawable_environment(self, tmp_path, capsys, command):
+        """The second environment's draws never hold both groups: the command exits 2
+        with the draw's message and writes nothing, though the first environment draws."""
+        environments = [{"n_tasks": 2, "dim": 4, "boundary": [1, 1, 0, 0]},
+                        {"n_tasks": 2, "dim": 4, "boundary": [1, 1, 0, 0],
+                         "group_balance": 1e-9}]
+        path, _ = write_config(tmp_path, reps=1, out=str(tmp_path / "out" / "data.csv"),
+                               stream={"batch_size": 140, "environments": environments})
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not draw a batch with both groups and both classes present\n")
+        assert not (tmp_path / "out").exists()
+
 
 def test_config_schema_is_a_valid_schema():
     """load_config checks instances only; the schema is checked here."""

@@ -10,10 +10,16 @@ stderr line once one value of `config-echo.json` is made bad. Either way
 `oracles.load_config_by_blocks`, or the same error message: jsonschema's,
 with `integer` meaning a JSON integer.
 
-The draws keep every run well clear of a degenerate subset: support rows
-of at least 15 per class, near-balanced groups and at least 30 validation
-rows. `reps` is always stated, because its default of 10 would make each
-example ten times longer; 0 is its out-of-range value.
+The draws hold support rows of at least 15 per class, near-balanced groups
+and at least 30 validation rows. That does not keep every valid config clear
+of a degenerate subset: DI with one `deo` constraint, `support_per_class` 15,
+`query_size` 20 and an environment with `group_bias` -0.5 exits 2 with
+`fairness surrogate undefined: p1 in {0, 1}`, and derandomised runs under
+other hypothesis seeds draw such configs. Only the committed draw avoids
+them; the policy for rare protected groups planned in ROADMAP.md closes the
+gap, and the draws are not narrowed to hide it. `reps` is always stated,
+because its default of 10 would make each example ten times longer; 0 is
+its out-of-range value.
 """
 import contextlib
 import io

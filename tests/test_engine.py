@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fairsaoml import engine
-from fairsaoml.engine import (AblationFlags, MODE_SINGLE_EXPERT, Engine, RunConfig,
+from fairsaoml import stream as stream_module
+from fairsaoml.engine import (AblationFlags, MODE_SINGLE_EXPERT, Engine, RoundRecord, RunConfig,
                               SplitSizes, run)
 from fairsaoml.errors import ConfigurationError
 from fairsaoml.intervals import IntervalScheme, target_set
@@ -13,11 +14,15 @@ from fairsaoml.stream import EnvSpec, StreamSpec, generate_stream
 from oracles import expected_census
 
 
-def make_stream(n_tasks=8, bias=0.4, seed=0, dim=4, batch=140):
+def make_spec(n_tasks=8, bias=0.4, seed=0, dim=4, batch=140):
     env = EnvSpec(n_tasks=n_tasks, dim=dim,
                   boundary=(1.0, 1.0) + (0.0,) * (dim - 2),
                   group_bias=bias, noise=0.05)
-    return generate_stream(StreamSpec((env,), batch_size=batch, seed=seed))
+    return StreamSpec((env,), batch_size=batch, seed=seed)
+
+
+def make_stream(*args, **kwargs):
+    return list(generate_stream(make_spec(*args, **kwargs)))
 
 
 def make_config(kind="dgc", **kw):
@@ -40,6 +45,35 @@ class TestValidation:
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):
             make_config(mode="bogus")
+
+
+class TestLazyStream:
+    @pytest.mark.parametrize("kind", ["di", "dgc"])
+    def test_same_records_as_a_list(self, kind, monkeypatch):
+        cfg = make_config(kind)
+        expected = run(cfg, make_stream(6))
+        draws, draw_batch = [], stream_module._draw_batch
+
+        def counted_draw(rng, env, batch_size, round_index):
+            draws.append(round_index)
+            return draw_batch(rng, env, batch_size, round_index)
+
+        monkeypatch.setattr(stream_module, "_draw_batch", counted_draw)
+        records = run(cfg, generate_stream(make_spec(6)))
+        assert draws == [1, 2, 3, 4, 5, 6]  # each batch drawn once, the first included
+        assert len(records) == len(expected)
+        names = [f.name for f in fields(RoundRecord) if f.name != "wall_ms"]
+        for got, want in zip(records, expected):
+            for name in names:
+                a, b = getattr(got, name), getattr(want, name)
+                if name == "validation":
+                    assert a.round == b.round
+                    a, b = (a.features, a.labels, a.protected), (b.features, b.labels, b.protected)
+                    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+                elif isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b)
+                else:
+                    assert a == b
 
 
 class TestCensusTraces:

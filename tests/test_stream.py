@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairsaoml import stream as stream_module
-from fairsaoml.errors import ConfigurationError, IngestionError
+from fairsaoml.errors import ConfigurationError, DegenerateInputError, IngestionError
 from fairsaoml.model_core import TaskBatch
 from fairsaoml.stream import (CsvSchema, EnvSpec, StreamSpec, generate_stream,
                               load_csv, save_csv)
-from oracles import save_csv_by_value
+from oracles import default_drift_spec, generate_stream_as_list, save_csv_by_value
 
 
 def spec(seed=0, noise=0.0, bias=0.5):
@@ -50,8 +51,8 @@ class TestGeneration:
             assert np.array_equal(x.protected, y.protected)
 
     def test_seed_changes_data(self):
-        a = generate_stream(spec(seed=5))
-        b = generate_stream(spec(seed=6))
+        a = list(generate_stream(spec(seed=5)))
+        b = list(generate_stream(spec(seed=6)))
         assert not np.array_equal(a[0].features, b[0].features)
 
     def test_both_groups_and_classes(self):
@@ -61,7 +62,7 @@ class TestGeneration:
 
     def test_noise_free_labels_match_boundary(self):
         s = spec(seed=2, noise=0.0, bias=0.7)
-        stream = generate_stream(s)
+        stream = list(generate_stream(s))
         w = np.array(s.environments[0].boundary)
         for b in stream[:3]:
             score = b.features @ w + 0.7 * (b.protected == 1)
@@ -71,9 +72,58 @@ class TestGeneration:
         assert [b.round for b in generate_stream(spec())] == [1, 2, 3, 4, 5]
 
 
+# batches of 20 rows in which group +1 has probability 0.05: most first draws
+# lack the group, so _draw_batch retries
+RETRYING = StreamSpec((EnvSpec(n_tasks=6, dim=3, boundary=(1.0, 0.0, -1.0),
+                               group_balance=0.05, noise=0.1),), batch_size=20, seed=4)
+
+
+def assert_same_batches(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.round == y.round
+        assert np.array_equal(x.features, y.features)
+        assert np.array_equal(x.labels, y.labels)
+        assert np.array_equal(x.protected, y.protected)
+
+
+class TestLazyStream:
+    @pytest.mark.parametrize("stream_spec", [
+        spec(), spec(seed=3, noise=0.1, bias=-0.4), default_drift_spec(3, seed=2, batch_size=60),
+        RETRYING], ids=["plain", "noisy", "drift", "retrying"])
+    def test_same_draws_as_a_list(self, stream_spec):
+        assert_same_batches(generate_stream(stream_spec), generate_stream_as_list(stream_spec))
+
+    def test_retrying_spec_retries(self, monkeypatch):
+        monkeypatch.setattr(stream_module, "MAX_BATCH_RETRIES", 1)
+        with pytest.raises(DegenerateInputError):
+            generate_stream_as_list(RETRYING)
+
+    def test_passes_repeat_and_len_draws_nothing(self, monkeypatch):
+        stream = generate_stream(RETRYING)
+        first, second = list(stream), list(stream)
+        assert_same_batches(first, second)
+        monkeypatch.setattr(stream_module, "_draw_batch", None)  # any draw would fail
+        assert len(stream) == 6 and len(generate_stream(spec())) == 5
+
+    def test_a_pass_holds_one_batch_at_a_time(self):
+        env = EnvSpec(n_tasks=100, dim=10, boundary=(1.0, -1.0) + (0.0,) * 8)
+        batch_bytes = 0
+        list(generate_stream(spec()))  # what numpy sets up on a first draw is not a batch
+        tracemalloc.start()
+        try:
+            for batch in generate_stream(StreamSpec((env,), batch_size=2000, seed=0)):
+                batch_bytes = (batch.features.nbytes + batch.labels.nbytes
+                               + batch.protected.nbytes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch_bytes and peak < 4 * batch_bytes
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        stream = generate_stream(spec(seed=3, noise=0.1))
+        stream = list(generate_stream(spec(seed=3, noise=0.1)))
         path = tmp_path / "data.csv"
         save_csv(stream, str(path))
         schema = CsvSchema(feature_columns=tuple(f"f{i}" for i in range(4)))
@@ -87,12 +137,12 @@ class TestCsvRoundTrip:
 
     def test_regeneration_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_csv(generate_stream(spec(seed=9)), str(p1))
-        save_csv(generate_stream(spec(seed=9)), str(p2))
+        save_csv(list(generate_stream(spec(seed=9))), str(p1))
+        save_csv(list(generate_stream(spec(seed=9))), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_same_bytes_as_formatting_value_by_value(self, tmp_path):
-        stream = generate_stream(spec(seed=4, noise=0.1))
+        stream = list(generate_stream(spec(seed=4, noise=0.1)))
         # values whose shortest %.17g forms differ in length and exponent style
         x = np.array([[0.0, -0.0, 1e-300, 123456789.125], [1 / 3, -2.5e17, 5e-324, 1.0]])
         stream.append(TaskBatch(x, [1, -1], [-1, 1], round=6))
@@ -322,7 +372,7 @@ class TestFastPathAgreesWithRowLoop:
                              ids=["round", "no-round"])
     def test_fast_path_taken(self, tmp_path, monkeypatch, without_round):
         """A gen-data CSV is parsed without the row loop, with or without its round column."""
-        generated = generate_stream(spec(seed=3, noise=0.1))
+        generated = list(generate_stream(spec(seed=3, noise=0.1)))
         path = tmp_path / "g.csv"
         save_csv(generated, str(path))
         monkeypatch.setattr(stream_module, "_load_csv_rows", row_loop_not_expected)
