@@ -369,20 +369,15 @@ def write_report(out_dir: Path, cfg: dict, seeds: List[int]) -> None:
         json.dump(regret, fh, indent=2)
 
 
-def run_repetition(cfg: dict, seed: int, rep_dir: Path,
-                   batches: List[TaskBatch] | Stream) -> None:
-    """One repetition's rounds.csv and trace.npz. Its records, which hold every
-    round's validation rows, are freed when it returns."""
-    records = run(build_run_config(cfg, seed), batches)
-    rep_dir.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
-    write_trace(records, rep_dir / "trace.npz")
-
-
 def execute_run(cfg: dict, out_dir: Path, batches: List[TaskBatch] | Stream) -> dict:
     seeds = [cfg["seed"] + i for i in range(cfg["reps"])]
     for seed in seeds:
-        run_repetition(cfg, seed, out_dir / f"rep{seed}", batches)
+        records = run(build_run_config(cfg, seed), batches)
+        rep_dir = out_dir / f"rep{seed}"
+        rep_dir.mkdir(parents=True, exist_ok=True)
+        write_rounds_csv(records, rep_dir / "rounds.csv", len(cfg["fairness"]))
+        write_trace(records, rep_dir / "trace.npz")
+        del records  # frees every round's validation rows before the next repetition and the report
     write_report(out_dir, cfg, seeds)
     with open(out_dir / "config-echo.json", "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2)
